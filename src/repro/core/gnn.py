@@ -22,12 +22,7 @@ from repro.core.aggregators import (
     MeanAggregator,
     make_fcg_aggregator,
 )
-from repro.graphs import (
-    FlowConvolutedGraph,
-    GraphSparsityConfig,
-    PatternCorrelationGraph,
-    SparseFlowConvolutedGraph,
-)
+from repro.graphs import FlowConvolutedGraph, PatternCorrelationGraph
 from repro.nn import (
     Dropout,
     Linear,
@@ -37,7 +32,7 @@ from repro.nn import (
     Parameter,
     init,
 )
-from repro.tensor import Tensor, concat, is_grad_enabled, ops
+from repro.tensor import Tensor, concat, is_grad_enabled
 
 
 class FlowGNN(Module):
@@ -77,11 +72,7 @@ class FlowGNN(Module):
         )
         self.dropout = Dropout(dropout, rng=rng)
 
-    def forward(
-        self, graph: "FlowConvolutedGraph | SparseFlowConvolutedGraph"
-    ) -> Tensor:
-        if isinstance(graph, SparseFlowConvolutedGraph):
-            return self._forward_sparse(graph)
+    def forward(self, graph: FlowConvolutedGraph) -> Tensor:
         # Fused path only in eval mode: in train mode the in-loop dropout
         # must still fire even under no_grad (e.g. MC-style sampling).
         if not is_grad_enabled() and not self.training and self.aggregator_kind == "flow":
@@ -91,46 +82,6 @@ class FlowGNN(Module):
         embedding = graph.node_features
         for aggregator, transform in zip(self.aggregators, self.transforms):
             pooled = aggregator(embedding, graph.weights, graph.mask)
-            embedding = transform(concat([embedding, pooled], axis=1)).relu()
-            embedding = self.dropout(embedding)
-        return embedding
-
-    def _forward_sparse(self, graph: SparseFlowConvolutedGraph) -> Tensor:
-        """Sparse twin of the dense layer loop: blocked gather pooling.
-
-        Runs recorded and no-grad alike through the op layer (every op
-        has a forward-only fast path), so ``inference_mode()`` fusion,
-        the buffer pool and the obs profiler all see the kernel. At full
-        coverage (``k == n``) ``edge_aggregate`` degenerates to the
-        dense gemm and results are bitwise identical to the dense path.
-        """
-        edges = graph.edges
-        embedding = graph.node_features
-        if self.aggregator_kind == "max":
-            # GraphSAGE-pool builds an (n, n, f) neighbor cube — an
-            # ablation-study aggregator with no blocked kernel; densify
-            # the kept adjacency and reuse the dense module.
-            mask = edges.to_dense_mask()
-            for aggregator, transform in zip(self.aggregators, self.transforms):
-                pooled = aggregator(embedding, None, mask)
-                embedding = transform(concat([embedding, pooled], axis=1)).relu()
-                embedding = self.dropout(embedding)
-            return embedding
-        if self.aggregator_kind == "flow":
-            weights = edges.weights
-        else:  # mean over the kept neighborhood (same recipe as dense)
-            mask = edges.valid.astype(embedding.data.dtype)
-            degrees = mask.sum(axis=1, keepdims=True)
-            degrees[degrees == 0] = 1.0
-            weights = Tensor(mask / degrees, dtype=embedding.data.dtype)
-        for transform in self.transforms:
-            pooled = ops.edge_aggregate(
-                weights,
-                embedding,
-                edges.indices,
-                block_rows=edges.block_rows,
-                full_coverage=edges.full_coverage,
-            )
             embedding = transform(concat([embedding, pooled], axis=1)).relu()
             embedding = self.dropout(embedding)
         return embedding
@@ -194,44 +145,13 @@ class _AttentionLayer(Module):
             init.xavier_uniform((num_heads * features, features), rng), name="W10"
         )
 
-    def forward(
-        self, features: Tensor, sparsity: GraphSparsityConfig | None = None
-    ) -> Tensor:
-        if sparsity is not None and sparsity.use_sparse(features.shape[0]):
-            return self._forward_sparse(features, sparsity)
+    def forward(self, features: Tensor) -> Tensor:
         if not is_grad_enabled():
             return Tensor._from_data(self._forward_inference(features.data))
         head_outputs = []
         for attention, value, self_proj in zip(self.attentions, self.values, self.selves):
             alpha = attention(features)  # (n, n), rows sum to 1
             pooled = alpha @ value(features) + self_proj(features)
-            head_outputs.append(pooled.elu())
-        return concat(head_outputs, axis=1) @ self.mix
-
-    def _forward_sparse(
-        self, features: Tensor, sparsity: GraphSparsityConfig
-    ) -> Tensor:
-        """Top-k attention heads: (n, k) scores + shared-column pooling.
-
-        Column selection is exact (the additive score is monotone in the
-        destination term, see ``sparse_forward``); only the softmax
-        support shrinks to k columns. Runs recorded and no-grad alike
-        through the op layer so fusion, pooling and the profiler see the
-        kernels; at full coverage results are bitwise dense.
-        """
-        n = features.shape[0]
-        k = sparsity.row_k(n)
-        full = k >= n
-        head_outputs = []
-        for attention, value, self_proj in zip(self.attentions, self.values, self.selves):
-            alpha, columns = attention.sparse_forward(features, k)  # (n, k)
-            pooled = ops.edge_aggregate(
-                alpha,
-                value(features),
-                columns,
-                block_rows=sparsity.block_rows,
-                full_coverage=full,
-            ) + self_proj(features)
             head_outputs.append(pooled.elu())
         return concat(head_outputs, axis=1) @ self.mix
 
@@ -274,7 +194,6 @@ class PatternGNN(Module):
         rng: np.random.Generator,
         aggregator: str = "attention",
         dropout: float = 0.0,
-        sparsity: GraphSparsityConfig | None = None,
     ) -> None:
         super().__init__()
         if num_layers < 1:
@@ -286,10 +205,6 @@ class PatternGNN(Module):
         self.features = features
         self.num_layers = num_layers
         self.aggregator_kind = aggregator
-        # Sparse top-k attention applies only to the attention aggregator;
-        # the mean/max study aggregators pool the PCG's conceptually dense
-        # all-stations neighborhood and stay on the dense path.
-        self.sparsity = sparsity
         self.dropout = Dropout(dropout, rng=rng)
         if aggregator == "attention":
             self.layers = ModuleList(
@@ -312,7 +227,7 @@ class PatternGNN(Module):
         embedding = graph.node_features
         if self.aggregator_kind == "attention":
             for layer in self.layers:
-                embedding = self.dropout(layer(embedding, sparsity=self.sparsity))
+                embedding = self.dropout(layer(embedding))
             return embedding
         n = embedding.shape[0]
         dense_mask = np.ones((n, n), dtype=bool)
@@ -328,9 +243,7 @@ class PatternGNN(Module):
         """Attention weights per layer (outer) and head (inner).
 
         Runs a forward pass, capturing each layer's attention over its
-        actual input — the quantity visualised in Figs. 11-12. Always
-        dense — this is O(n^2) case-study introspection, not a serving
-        path, so it stays exact even on sparse-configured models.
+        actual input — the quantity visualised in Figs. 11-12.
         """
         if self.aggregator_kind != "attention":
             raise RuntimeError("attention matrices only exist for the attention aggregator")

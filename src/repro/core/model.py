@@ -27,10 +27,8 @@ import numpy as np
 from repro.core.gnn import FlowGNN, PatternGNN
 from repro.data.dataset import BikeShareDataset, FlowSample
 from repro.graphs import (
-    VALID_GRAPH_MODES,
     FlowConvolution,
     FlowConvolutionOutput,
-    GraphSparsityConfig,
     PatternCorrelationGraph,
     build_fcg,
 )
@@ -61,14 +59,6 @@ class STGNNDJDConfig:
     # as {O^t, ..., O^{t+k}, I^t, ..., I^{t+k}}"); horizon=1 is the
     # paper's single-step setting.
     horizon: int = 1
-    # Graph representation at paper scale: "auto" keeps dense edges while
-    # num_stations <= graph_top_k (every small-city test/bench is
-    # bit-for-bit unchanged) and switches to top-k sparse edge lists
-    # beyond; "dense"/"sparse" force a representation. graph_block_rows
-    # bounds the gather kernels' transient memory (see repro.graphs.sparse).
-    graph_mode: str = "auto"
-    graph_top_k: int = 64
-    graph_block_rows: int = 256
 
     def __post_init__(self) -> None:
         if self.num_stations < 2:
@@ -79,23 +69,6 @@ class STGNNDJDConfig:
             raise ValueError("flow_scale must be positive")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.graph_mode not in VALID_GRAPH_MODES:
-            raise ValueError(
-                f"unknown graph_mode {self.graph_mode!r}; choose from {VALID_GRAPH_MODES}"
-            )
-        if self.graph_top_k < 1:
-            raise ValueError("graph_top_k must be >= 1")
-        if self.graph_block_rows < 1:
-            raise ValueError("graph_block_rows must be >= 1")
-
-    @property
-    def graph_sparsity(self) -> GraphSparsityConfig:
-        """The sparsity policy the graph builders receive."""
-        return GraphSparsityConfig(
-            mode=self.graph_mode,
-            top_k=self.graph_top_k,
-            block_rows=self.graph_block_rows,
-        )
 
     def with_overrides(self, **kwargs) -> "STGNNDJDConfig":
         """A copy with the given fields replaced (for ablation sweeps)."""
@@ -124,7 +97,6 @@ class STGNNDJD(Module):
             )
 
         self.feature_dropout = Dropout(config.dropout, rng=rng)
-        self.graph_sparsity = config.graph_sparsity
         if config.use_pcg:
             self.pattern_gnn = PatternGNN(
                 n,
@@ -133,7 +105,6 @@ class STGNNDJD(Module):
                 rng,
                 aggregator=config.pcg_aggregator,
                 dropout=config.dropout,
-                sparsity=self.graph_sparsity,
             )
         if config.use_fcg:
             self.flow_gnn = FlowGNN(
@@ -219,7 +190,7 @@ class STGNNDJD(Module):
         )
         parts = []
         if self.config.use_fcg:
-            parts.append(self.flow_gnn(build_fcg(flow_output, self.graph_sparsity)))
+            parts.append(self.flow_gnn(build_fcg(flow_output)))
         if self.config.use_pcg:
             # The PCG's edges (Eqs. 11-12) are the PatternGNN's first-
             # layer attention, recomputed inside the GNN (Sec. V-C

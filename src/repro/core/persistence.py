@@ -60,6 +60,11 @@ SNAPSHOT_VERSION = 1
 
 _META_KEYS = (_CONFIG_KEY, _SCHEMA_KEY, _QUALITY_KEY)
 
+#: Config fields of the retired top-k sparse graph representation.
+#: Parameters are identical under both representations, so checkpoints
+#: that still carry these keys load as the dense model.
+_RETIRED_CONFIG_KEYS = ("graph_mode", "graph_top_k", "graph_block_rows")
+
 #: Exceptions that mean "the file is not a readable npz archive". numpy
 #: raises ValueError for non-zip garbage, zipfile/zlib surface
 #: BadZipFile/CRC errors for truncation and bit flips (sometimes lazily,
@@ -197,7 +202,10 @@ def load_config(path: str | Path) -> STGNNDJDConfig:
         if _CONFIG_KEY not in bundle.files:
             raise KeyError(f"checkpoint {path} carries no model config")
         raw = bytes(bundle[_CONFIG_KEY]).decode("utf-8")
-    return STGNNDJDConfig(**json.loads(raw))
+    fields = json.loads(raw)
+    for key in _RETIRED_CONFIG_KEYS:
+        fields.pop(key, None)
+    return STGNNDJDConfig(**fields)
 
 
 def load_quality_baseline(path: str | Path):

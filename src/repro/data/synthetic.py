@@ -25,7 +25,7 @@ Presets come in four size tiers — ``tiny`` / ``la_like`` /
 :class:`SyntheticCityConfig`. ``chicago_like`` vs ``la_like`` mirrors
 the paper's *traffic-density* contrast at test-friendly station counts;
 ``chicago_571`` is the paper-scale tier (571 stations at the real Divvy
-trip rate) that the sparse graph stack targets.
+trip rate) that ``benchmarks/bench_scale.py`` measures.
 """
 
 from __future__ import annotations

@@ -1,36 +1,20 @@
 """Spatial-temporal graph generation (paper Sec. IV).
 
 ``FlowConvolution`` learns dynamic node features from flow windows;
-``build_fcg`` and ``build_pcg`` turn those features into the two
-spatial-temporal graphs STGNN-DJD's GNN consumes — dense ``(n, n)``
-matrices at small scale, top-k :class:`SparseEdges` structures at paper
-scale (see :mod:`repro.graphs.sparse`).
+``build_fcg`` and ``build_pcg`` turn those features into the two dense
+``(n, n)`` spatial-temporal graphs STGNN-DJD's GNN consumes, at every
+city size.
 """
 
 from repro.graphs.flow_convolution import FlowConvolution, FlowConvolutionOutput
-from repro.graphs.sparse import (
-    VALID_GRAPH_MODES,
-    GraphSparsityConfig,
-    SparseEdges,
-    topk_row_indices,
-)
-from repro.graphs.fcg import (
-    FlowConvolutedGraph,
-    SparseFlowConvolutedGraph,
-    build_fcg,
-)
+from repro.graphs.fcg import FlowConvolutedGraph, build_fcg
 from repro.graphs.pcg import PatternCorrelationGraph, build_pcg
 
 __all__ = [
     "FlowConvolution",
     "FlowConvolutionOutput",
     "FlowConvolutedGraph",
-    "SparseFlowConvolutedGraph",
     "build_fcg",
     "PatternCorrelationGraph",
     "build_pcg",
-    "GraphSparsityConfig",
-    "SparseEdges",
-    "VALID_GRAPH_MODES",
-    "topk_row_indices",
 ]

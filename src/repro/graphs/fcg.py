@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.flow_convolution import FlowConvolutionOutput
-from repro.graphs.sparse import GraphSparsityConfig, SparseEdges, topk_row_indices
 from repro.tensor import Tensor, is_grad_enabled
 
 _EPS = 1e-12
@@ -58,74 +57,11 @@ class FlowConvolutedGraph:
         return self.mask.sum(axis=1)
 
 
-@dataclass(frozen=True, slots=True)
-class SparseFlowConvolutedGraph:
-    """FCG with top-k edge lists instead of dense ``(n, n)`` matrices.
-
-    Same semantics as :class:`FlowConvolutedGraph` — Eq. 10 weights over
-    the Def. 2 adjacency — but each node keeps only its ``k`` strongest
-    in-edges (largest positive ``T`` entries, self loop always included)
-    and the row normalisation runs over the kept set. With full coverage
-    (``k >= n``) the weights are bitwise identical to the dense graph's.
-    """
-
-    node_features: Tensor
-    edges: SparseEdges
-
-    @property
-    def num_nodes(self) -> int:
-        return self.node_features.shape[0]
-
-    def neighbor_counts(self) -> np.ndarray:
-        """Kept in-degree (incl. self) per station — diagnostics."""
-        return self.edges.neighbor_counts()
-
-
-def _build_sparse_fcg(
-    features: Tensor, mask: np.ndarray, sparsity: GraphSparsityConfig
-) -> SparseFlowConvolutedGraph:
-    n = mask.shape[0]
-    k = sparsity.row_k(n)
-    f = features.data
-    # Selection priority is the positive masked feature value — exactly
-    # the quantity Eq. 10 normalises — with the diagonal forced so the
-    # self loop survives (Eq. 14 pools over {i} ∪ N(i)). Structural,
-    # like the mask: computed on raw data, never differentiated through.
-    priority = (f * (f > 0)) * mask
-    np.fill_diagonal(priority, np.inf)
-    indices = topk_row_indices(priority, k)
-    rows = np.arange(n)[:, None]
-    valid = mask[rows, indices]
-
-    # Same expressions as the dense path, on the gathered (n, k) slab:
-    # relu, mask to the valid slots, row-normalise. All recorded ops
-    # (with no-grad fast paths), so gradients flow exactly as dense and
-    # full coverage is bitwise identical.
-    gathered = features[rows, indices]
-    positive = gathered.relu() * Tensor(valid, dtype=f.dtype)
-    row_sums = positive.sum(axis=1, keepdims=True)
-    weights = positive / (row_sums + _EPS)
-    edges = SparseEdges(
-        indices=indices,
-        weights=weights,
-        valid=valid,
-        full_coverage=k >= n,
-        block_rows=sparsity.block_rows,
-    )
-    return SparseFlowConvolutedGraph(node_features=features, edges=edges)
-
-
-def build_fcg(
-    flow_output: FlowConvolutionOutput,
-    sparsity: GraphSparsityConfig | None = None,
-) -> "FlowConvolutedGraph | SparseFlowConvolutedGraph":
+def build_fcg(flow_output: FlowConvolutionOutput) -> FlowConvolutedGraph:
     """Construct the FCG from a flow-convolution result.
 
     The mask is structural (derived from data values, not differentiated
-    through); the weights remain differentiable w.r.t. ``T``. With a
-    ``sparsity`` config that elects the sparse representation for this
-    station count, the result is a :class:`SparseFlowConvolutedGraph`
-    carrying top-k edge lists instead of dense matrices.
+    through); the weights remain differentiable w.r.t. ``T``.
     """
     temporal_inflow = flow_output.temporal_inflow.data
     temporal_outflow = flow_output.temporal_outflow.data
@@ -135,8 +71,6 @@ def build_fcg(
     np.fill_diagonal(mask, True)
 
     features = flow_output.node_features
-    if sparsity is not None and sparsity.use_sparse(mask.shape[0]):
-        return _build_sparse_fcg(features, mask, sparsity)
     if not is_grad_enabled():
         # Forward-only fast path: same expressions on raw arrays (float64
         # results are bitwise identical to the recorded ops below).

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 
-from repro.graphs.sparse import GraphSparsityConfig, SparseEdges
 from repro.nn import PairwiseAdditiveAttention
 from repro.tensor import Tensor
 
@@ -39,16 +37,10 @@ class PatternCorrelationGraph:
         network), so the model passes ``None`` here and the first-layer
         attention *is* the generator's edge set; :func:`build_pcg` fills
         the field for standalone inspection (the Sec. VIII case study).
-    edges:
-        Top-k sparse edge set (attention renormalised over the kept
-        columns) when the graph was built sparse; ``None`` on the dense
-        path. Exactly one of ``attention``/``edges`` is populated by
-        :func:`build_pcg`.
     """
 
     node_features: Tensor
     attention: Tensor | None
-    edges: SparseEdges | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -56,34 +48,10 @@ class PatternCorrelationGraph:
 
 
 def build_pcg(
-    node_features: Tensor,
-    attention_module: PairwiseAdditiveAttention,
-    sparsity: GraphSparsityConfig | None = None,
+    node_features: Tensor, attention_module: PairwiseAdditiveAttention
 ) -> PatternCorrelationGraph:
-    """Construct the PCG: attention edges over node features.
-
-    Dense by default (every pair has a learned weight). With a
-    ``sparsity`` config that elects the sparse representation for this
-    station count, each row keeps its top-k columns — exact score
-    selection via the additive attention's monotone destination term
-    (see :meth:`PairwiseAdditiveAttention.sparse_forward`), softmax
-    renormalised over the kept set.
-    """
+    """Construct the PCG: dense attention edges over node features."""
     if node_features.ndim != 2:
         raise ValueError(f"node features must be (n, f), got {node_features.shape}")
-    n = node_features.shape[0]
-    if sparsity is not None and sparsity.use_sparse(n):
-        k = sparsity.row_k(n)
-        alpha, columns = attention_module.sparse_forward(node_features, k)
-        edges = SparseEdges(
-            indices=np.broadcast_to(columns, (n, k)),
-            weights=alpha,
-            valid=np.ones((n, k), dtype=bool),
-            full_coverage=k >= n,
-            block_rows=sparsity.block_rows,
-        )
-        return PatternCorrelationGraph(
-            node_features=node_features, attention=None, edges=edges
-        )
     attention = attention_module(node_features)
     return PatternCorrelationGraph(node_features=node_features, attention=attention)

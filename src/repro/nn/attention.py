@@ -57,45 +57,6 @@ class PairwiseAdditiveAttention(Module):
             return ops.row_softmax(raw)
         return ops.masked_softmax(raw, mask, axis=-1)
 
-    def sparse_forward(
-        self, features: Tensor, k: int
-    ) -> tuple[Tensor, np.ndarray]:
-        """Top-k attention: ``(n, k)`` row-softmaxed weights + kept columns.
-
-        The additive score ``e(i, j) = ELU(src_i + dst_j)`` is strictly
-        increasing in ``dst_j`` within every row, so all rows rank
-        columns identically: the ``k`` columns with the largest ``dst``
-        projections. One O(n log n) argsort of the thin ``(n,)`` dst
-        vector therefore selects the *exact* top-k scores of every row
-        without materialising the ``(n, n)`` score matrix; only the
-        softmax renormalisation over ``k`` instead of ``n`` entries makes
-        the result an approximation of the dense attention (and with
-        ``k >= n`` even that vanishes: float64 results are bitwise
-        identical to :meth:`forward`).
-
-        Column selection is structural (raw numpy, not differentiated
-        through), mirroring the FCG mask contract. Returns
-        ``(alpha, columns)`` with ``alpha`` of shape ``(n, k)`` and
-        ``columns`` the shared ascending ``(k,)`` index vector.
-        """
-        if features.ndim != 2:
-            raise ValueError(f"features must be (n, f), got {features.shape}")
-        n = features.shape[0]
-        k = min(int(k), n)
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        projected = ops.linear(features, self.weight)  # (n, f)
-        src = ops.linear(projected, self.attn_src)  # (n, 1)
-        dst = ops.linear(projected, self.attn_dst)  # (n, 1)
-        if k >= n:
-            columns = np.arange(n)
-        else:
-            order = np.argsort(dst.data[:, 0], kind="stable")
-            columns = np.sort(order[n - k :])
-        dst_selected = dst.reshape((1, n))[:, columns]  # (1, k)
-        pre = src + dst_selected  # broadcast (n, k)
-        return ops.row_softmax(pre.elu()), columns
-
     def weights_data(self, features: np.ndarray) -> np.ndarray:
         """Whole-module fused forward on raw arrays (no-grad serving path).
 
@@ -117,21 +78,11 @@ class PairwiseAdditiveAttention(Module):
 
 
 class ScaledDotProductAttention(Module):
-    """Standard ``softmax(Q K^T / sqrt(d)) V`` attention block.
+    """Standard ``softmax(Q K^T / sqrt(d)) V`` attention block."""
 
-    ``block_rows`` row-blocks the forward-only score/softmax pipeline
-    (see :func:`repro.tensor.ops.sdp_attention`): 0 keeps the single
-    full-matrix pass, whose float64 output the blocked variant matches
-    only within tolerance (BLAS blocking differs), so the default stays
-    exact for small models.
-    """
-
-    def __init__(
-        self, model_dim: int, rng: np.random.Generator, block_rows: int = 0
-    ) -> None:
+    def __init__(self, model_dim: int, rng: np.random.Generator) -> None:
         super().__init__()
         self.model_dim = model_dim
-        self.block_rows = block_rows
         self.query = Parameter(init.xavier_uniform((model_dim, model_dim), rng))
         self.key = Parameter(init.xavier_uniform((model_dim, model_dim), rng))
         self.value = Parameter(init.xavier_uniform((model_dim, model_dim), rng))
@@ -143,7 +94,7 @@ class ScaledDotProductAttention(Module):
         # Folding the 1/sqrt(d) scale into the thin (n, d) query instead
         # of the (n, n) score matrix touches d/n as much memory.
         scale = 1.0 / np.sqrt(self.model_dim)
-        return ops.sdp_attention(q * scale, k, v, block_rows=self.block_rows)
+        return ops.sdp_attention(q * scale, k, v)
 
     def attention_matrix(self, x: Tensor) -> Tensor:
         """Return just the attention weights (for inspection / case study)."""

@@ -41,7 +41,7 @@ from repro.backend import registry as _registry
 #: is the fused-op coverage ratio reported by :meth:`OpProfile.fused_coverage`.
 FUSED_OPS = frozenset(
     {"linear", "conv1x1", "row_softmax", "pairwise_scores", "gated_fusion",
-     "joint_rmse", "edge_aggregate", "sdp_attention"}
+     "joint_rmse", "sdp_attention"}
 )
 
 

@@ -468,135 +468,18 @@ def joint_rmse(demand_pred, demand_true, supply_pred, supply_true,
     return Tensor._make(np.asarray(value), parents, backward)
 
 
-@register("edge_aggregate")
-def edge_aggregate(
-    weights,
-    values,
-    indices: np.ndarray,
-    block_rows: int = 256,
-    full_coverage: bool = False,
-) -> Tensor:
-    """Cache-blocked gather/scatter neighborhood aggregation.
-
-    ``out[i] = sum_j weights[i, j] * values[indices[i, j]]`` — the sparse
-    twin of the dense ``weights @ values`` pooling (FCG Eq. 14, PCG
-    Eq. 17) over top-k edge lists. ``weights`` is ``(n, k)``; ``values``
-    is ``(m, f)``; ``indices`` selects the ``k`` source rows per node and
-    is structural (never differentiated through). Two layouts:
-
-    * ``indices`` 1-D ``(k,)`` — all rows share one column set (the PCG
-      case: additive-attention scores are monotone in the destination
-      term, so every row's top-k columns coincide). One ``(k, f)`` gather
-      and a single dense gemm.
-    * ``indices`` 2-D ``(n, k)`` — per-row neighborhoods (the FCG case).
-      Rows are processed in blocks of ``block_rows``: each block gathers
-      its ``(B, k, f)`` neighbor slab and contracts it with a batched
-      matmul, bounding transient memory to one slab instead of ``n``.
-
-    With ``full_coverage=True`` (``k == m`` and every row keeps all
-    columns ascending) the gather is the identity and the whole op is the
-    single dense gemm ``weights @ values`` — bitwise identical to the
-    dense path, which is what the parity/golden tests pin. The backward
-    re-gathers per block (recompute beats holding ``(n, k, f)`` alive)
-    and scatters the value gradient with ``np.add.at``.
-    """
-    weights, values = _wrap(weights), _wrap(values)
-    w_data, v_data = weights.data, values.data
-    indices = np.asarray(indices)
-    n, k = w_data.shape
-    feat = v_data.shape[-1]
-    out_dtype = np.result_type(w_data.dtype, v_data.dtype)
-    shared_columns = indices.ndim == 1
-    # NB: builtins.max is shadowed by the max op in this module.
-    block = int(block_rows) if int(block_rows) >= 1 else 1
-    no_graph = _no_graph(weights, values)
-
-    if full_coverage:
-        out = None
-        if no_graph and w_data.dtype == v_data.dtype:
-            buffer = _out_buffer((n, feat), out_dtype)
-            if buffer is not None:
-                out = np.matmul(w_data, v_data, out=buffer)
-        data = out if out is not None else w_data @ v_data
-    elif shared_columns:
-        data = w_data @ v_data[indices]
-    else:
-        data = np.empty((n, feat), dtype=out_dtype)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            gathered = v_data[indices[start:stop]]  # (B, k, f)
-            data[start:stop] = np.matmul(
-                w_data[start:stop, None, :], gathered
-            )[:, 0, :]
-    if no_graph:
-        return Tensor._from_data(data)
-
-    need_w = weights.requires_grad
-    need_v = values.requires_grad
-
-    def backward(grad):
-        grad_w = None
-        grad_v = None
-        if full_coverage:
-            if need_w:
-                grad_w = grad @ v_data.T
-            if need_v:
-                grad_v = w_data.T @ grad
-        elif shared_columns:
-            gathered = v_data[indices]  # (k, f)
-            if need_w:
-                grad_w = grad @ gathered.T
-            if need_v:
-                grad_v = np.zeros_like(v_data)
-                np.add.at(grad_v, indices, w_data.T @ grad)
-        else:
-            grad_w = np.empty_like(w_data) if need_w else None
-            grad_v = np.zeros_like(v_data) if need_v else None
-            for start in range(0, n, block):
-                stop = min(start + block, n)
-                idx = indices[start:stop]
-                if need_w:
-                    gathered = v_data[idx]  # (B, k, f)
-                    grad_w[start:stop] = np.matmul(
-                        gathered, grad[start:stop, :, None]
-                    )[:, :, 0]
-                if need_v:
-                    contrib = w_data[start:stop, :, None] * grad[start:stop, None, :]
-                    np.add.at(grad_v, idx, contrib)
-        return (grad_w, grad_v)
-
-    return Tensor._make(data, (weights, values), backward)
-
-
 @register("sdp_attention")
-def sdp_attention(query, key, value, block_rows: int = 0) -> Tensor:
-    """Fused scaled-dot-product attention ``softmax(Q K^T) V``, row-blocked.
+def sdp_attention(query, key, value) -> Tensor:
+    """Fused scaled-dot-product attention ``softmax(Q K^T) V``.
 
     ``query`` arrives pre-scaled (the 1/sqrt(d) factor folds into the
-    thin ``(n, d)`` operand, see ``ScaledDotProductAttention``). With
-    ``block_rows <= 0`` (or ``>= n``) the forward is a single full pass
-    whose expressions mirror ``row_softmax(q @ k.T) @ v`` term for term
-    — float64 results are bitwise identical to that unfused chain. A
-    positive ``block_rows`` processes query rows in blocks on the
-    forward-only path, so peak transient memory is ``block_rows x n``
-    score rows instead of the full ``n x n`` matrix.
+    thin ``(n, d)`` operand, see ``ScaledDotProductAttention``). The
+    expressions mirror ``row_softmax(q @ k.T) @ v`` term for term, so
+    float64 results are bitwise identical to that unfused chain.
     """
     query, key, value = _wrap(query), _wrap(key), _wrap(value)
     q_data, k_data, v_data = query.data, key.data, value.data
-    n = q_data.shape[0]
     no_graph = _no_graph(query, key, value)
-
-    if no_graph and 0 < block_rows < n:
-        out_dtype = np.result_type(q_data.dtype, k_data.dtype, v_data.dtype)
-        out = np.empty((n, v_data.shape[-1]), dtype=out_dtype)
-        for start in range(0, n, block_rows):
-            stop = min(start + block_rows, n)
-            scores = q_data[start:stop] @ k_data.T  # (B, n)
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            out[start:stop] = scores @ v_data
-        return Tensor._from_data(out)
 
     scores = q_data @ k_data.T
     attn = scores - scores.max(axis=-1, keepdims=True)

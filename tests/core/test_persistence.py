@@ -1,6 +1,7 @@
 """Checkpoint save/load round-trips, corruption handling, atomic writes."""
 
 import glob
+import json
 import struct
 import zipfile
 
@@ -113,6 +114,45 @@ class TestSchemaVersion:
         np.testing.assert_allclose(
             restored.predictor.weight.data, model.predictor.weight.data
         )
+
+    def _rewrite_config(self, path, **extra):
+        """Re-save a checkpoint whose config JSON carries extra keys."""
+        with np.load(path) as bundle:
+            arrays = {name: bundle[name] for name in bundle.files}
+        config = json.loads(bytes(arrays["__config_json__"]).decode("utf-8"))
+        config.update(extra)
+        arrays["__config_json__"] = np.frombuffer(
+            json.dumps(config).encode("utf-8"), dtype=np.uint8
+        )
+        np.savez(path, **arrays)
+
+    def test_checkpoint_with_retired_graph_keys_still_loads(
+        self, tiny_dataset, tmp_path
+    ):
+        # Checkpoints written while the top-k sparse graph option existed
+        # carry its three config keys; the parameters are the same.
+        path = tmp_path / "model.npz"
+        model = STGNNDJD.from_dataset(tiny_dataset, seed=0)
+        save_checkpoint(model, path)
+        self._rewrite_config(
+            path, graph_mode="sparse", graph_top_k=4, graph_block_rows=3
+        )
+        restored = load_stgnn(path)
+        assert restored.config == model.config
+        model.eval()
+        sample = tiny_dataset.sample(tiny_dataset.min_history)
+        with no_grad():
+            d1, s1 = model(sample)
+            d2, s2 = restored(sample)
+        np.testing.assert_array_equal(d2.data, d1.data)
+        np.testing.assert_array_equal(s2.data, s1.data)
+
+    def test_unknown_config_key_still_fails(self, tiny_dataset, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(STGNNDJD.from_dataset(tiny_dataset, seed=0), path)
+        self._rewrite_config(path, graph_mode="dense", attention_kind="dot")
+        with pytest.raises(TypeError, match="attention_kind"):
+            load_config(path)
 
     def test_version_mismatch_fails_loudly(self, tiny_dataset, tmp_path):
         path = tmp_path / "model.npz"

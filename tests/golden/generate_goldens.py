@@ -30,14 +30,11 @@ MODEL_KWARGS = dict(fcg_layers=1, pcg_layers=1, num_heads=2, dropout=0.0)
 T_OFFSETS = (0, 5, 17)
 
 
-def build(**overrides):
-    """Pinned dataset + model; ``overrides`` layer onto MODEL_KWARGS
-    (used by the sparse-representation parity tests)."""
+def build():
     dataset = generate_city(
         SyntheticCityConfig.tiny(days=10, num_stations=8), seed=DATASET_SEED
     )
-    kwargs = {**MODEL_KWARGS, **overrides}
-    model = STGNNDJD.from_dataset(dataset, seed=MODEL_SEED, **kwargs)
+    model = STGNNDJD.from_dataset(dataset, seed=MODEL_SEED, **MODEL_KWARGS)
     model.eval()
     return dataset, model
 

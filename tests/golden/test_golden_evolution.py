@@ -71,10 +71,8 @@ def test_grow_then_shrink_restores_fcg_and_pcg_bitwise():
     round_tripped = _grow_then_shrink(model, 2, seed=3)
     sample = dataset.sample(dataset.min_history + T_OFFSETS[0])
     with backend.dtype_scope(np.float64), inference_mode():
-        fcg_a = build_fcg(model._node_features(sample), model.graph_sparsity)
-        fcg_b = build_fcg(
-            round_tripped._node_features(sample), round_tripped.graph_sparsity
-        )
+        fcg_a = build_fcg(model._node_features(sample))
+        fcg_b = build_fcg(round_tripped._node_features(sample))
         assert np.array_equal(fcg_a.mask, fcg_b.mask)
         assert np.array_equal(fcg_a.weights.data, fcg_b.weights.data)
         # The PCG's edges are the PatternGNN's first-layer attention.
@@ -110,10 +108,6 @@ def test_grown_model_preserves_kept_station_forward():
         target_demand=np.zeros(n + 2), target_supply=np.zeros(n + 2),
     )
     with backend.dtype_scope(np.float64), inference_mode():
-        fcg_small = build_fcg(
-            model._node_features(sample), model.graph_sparsity
-        )
-        fcg_big = build_fcg(
-            grown._node_features(wide_sample), grown.graph_sparsity
-        )
+        fcg_small = build_fcg(model._node_features(sample))
+        fcg_big = build_fcg(grown._node_features(wide_sample))
     assert np.array_equal(fcg_big.mask[:n, :n], fcg_small.mask)

@@ -53,20 +53,6 @@ class TestFloat64:
             assert np.isfinite(golden).all(), name
 
 
-class TestSparseFullCoverage:
-    def test_sparse_graphs_at_full_coverage_match_goldens_bitwise(self, goldens):
-        # The sparse representation's parity tier: forcing top-k edge
-        # lists with k >= n must reproduce the dense pins bit-for-bit
-        # (gathers are identity copies, blocked kernels collapse to the
-        # dense matmul — see repro/graphs/sparse.py).
-        dataset, model = build(graph_mode="sparse", graph_top_k=999)
-        outputs = forward_outputs(dataset, model)
-        for name, golden in goldens.items():
-            np.testing.assert_array_equal(
-                outputs[name], golden, err_msg=name, strict=True
-            )
-
-
 class TestFloat32:
     def test_float32_forward_tracks_goldens_within_tolerance(self, goldens):
         # Fresh build: Module.to casts in place, and the float64 tests

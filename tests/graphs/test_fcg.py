@@ -1,10 +1,16 @@
 """Flow-convoluted graph construction (Def. 2 / Eq. 10)."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro.core import model as model_module
+from repro.core.model import STGNNDJD, STGNNDJDConfig
+from repro.data.dataset import FlowSample
 from repro.graphs import FlowConvolution, FlowConvolutionOutput, build_fcg
-from repro.tensor import Tensor
+from repro.nn import PairwiseAdditiveAttention
+from repro.tensor import Tensor, inference_mode
 
 
 def output_from(features, inflow, outflow):
@@ -90,3 +96,75 @@ class TestWeights:
         graph = build_fcg(out)
         assert graph.num_nodes == 4
         assert (graph.weights.data >= 0).all()
+
+
+@pytest.mark.parametrize("inference", [False, True], ids=["grad", "inference"])
+@pytest.mark.parametrize("n", [8, 70])
+class TestModelGraphsAreDense:
+    """The model's forward builds the paper's dense FCG and PCG at every
+    city size, including above 64 stations."""
+
+    def forward(self, n, inference, seed=0):
+        rng = np.random.default_rng(seed)
+        config = STGNNDJDConfig(
+            num_stations=n, short_window=4, long_days=2, fcg_layers=1,
+            pcg_layers=1, num_heads=2, dropout=0.0,
+        )
+        model = STGNNDJD(config, rng=rng)
+        model.eval()
+        sample = FlowSample(
+            t=0,
+            short_inflow=rng.poisson(1.0, (4, n, n)).astype(float),
+            short_outflow=rng.poisson(1.0, (4, n, n)).astype(float),
+            long_inflow=rng.poisson(1.0, (2, n, n)).astype(float),
+            long_outflow=rng.poisson(1.0, (2, n, n)).astype(float),
+            target_demand=np.zeros(n),
+            target_supply=np.zeros(n),
+        )
+        with inference_mode() if inference else contextlib.nullcontext():
+            model(sample)
+
+    def test_fcg_weight_support_is_def2_mask(self, n, inference, monkeypatch):
+        built = []
+
+        def spy(flow_output):
+            graph = build_fcg(flow_output)
+            built.append((flow_output, graph))
+            return graph
+
+        monkeypatch.setattr(model_module, "build_fcg", spy)
+        self.forward(n, inference)
+        (flow_output, graph), = built
+        inflow = flow_output.temporal_inflow.data
+        outflow = flow_output.temporal_outflow.data
+        mask = (inflow > 0) | (outflow.T > 0)
+        np.fill_diagonal(mask, True)
+        np.testing.assert_array_equal(graph.mask, mask)
+        # Eq. 10 weights every Def. 2 edge with a positive flow share.
+        positive = flow_output.node_features.data > 0
+        np.testing.assert_array_equal(graph.weights.data != 0, mask & positive)
+
+    def test_pcg_attention_is_dense_row_stochastic(self, n, inference, monkeypatch):
+        matrices = []
+        forward = PairwiseAdditiveAttention.forward
+        weights_data = PairwiseAdditiveAttention.weights_data
+
+        def forward_spy(self, features, mask=None):
+            alpha = forward(self, features, mask)
+            matrices.append(alpha.data)
+            return alpha
+
+        def weights_data_spy(self, features):
+            alpha = weights_data(self, features)
+            matrices.append(alpha)
+            return alpha
+
+        monkeypatch.setattr(PairwiseAdditiveAttention, "forward", forward_spy)
+        monkeypatch.setattr(
+            PairwiseAdditiveAttention, "weights_data", weights_data_spy
+        )
+        self.forward(n, inference)
+        assert len(matrices) == 2  # one per head
+        for alpha in matrices:
+            assert alpha.shape == (n, n)
+            np.testing.assert_allclose(alpha.sum(axis=1), np.ones(n), atol=1e-12)
