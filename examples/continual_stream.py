@@ -198,7 +198,7 @@ def main() -> int:
                     frozen.reload(frozen_ckpt)
                     print(f"  day {day}: station {retired} closed, one "
                           f"opened (drained {drained:.0f} in-transit "
-                          f"arrivals); fleet remapped live")
+                          f"arrivals); store remapped live")
                 elif day < days and (day - warmup_days) % cycle_days == 0:
                     result = learner.run_cycle()
                     cycle_results.append(result)

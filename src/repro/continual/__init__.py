@@ -9,7 +9,7 @@ an incremental retrain from the last training snapshot, shadow-
 evaluates the candidate against the live model on held-back slots with
 the paper's Eq. 22 joint metrics, and — only when the candidate clears
 a configurable improvement band — promotes it through the existing
-atomic checkpoint write and staged fleet reload. Station churn is
+atomic checkpoint write and the service's hot reload. Station churn is
 handled in place by :mod:`repro.continual.evolve`: flow state, graphs,
 model parameters and optimizer moments all grow or shrink to the new
 city without a restart.
@@ -26,7 +26,6 @@ from repro.continual.evolve import (
     evolve_flow_store,
     evolve_model,
     evolve_registry,
-    evolve_sharded_store,
     evolve_state_dict,
     evolve_training_snapshot,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "evolve_flow_store",
     "evolve_model",
     "evolve_registry",
-    "evolve_sharded_store",
     "evolve_state_dict",
     "evolve_training_snapshot",
     "extract_training_dataset",

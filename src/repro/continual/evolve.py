@@ -17,10 +17,9 @@ retrain:
   columns out of the old parameters. New stations keep the donor's
   deterministic initialization; two calls with the same seed produce
   bitwise-identical models.
-* :func:`evolve_flow_store` / :func:`evolve_sharded_store` remap the
-  live ring buffers in place under the store lock (kept rows/columns
-  copied, removed stations' pending inflows drained and counted), so
-  serving never restarts.
+* :func:`evolve_flow_store` remaps the live ring buffers in place
+  under the store lock (kept rows/columns copied, removed stations'
+  pending inflows drained and counted), so serving never restarts.
 * :func:`evolve_training_snapshot` carries the warm-start state across:
   kept positions of the Adam moments move with their parameters, new
   positions start at zero (a fresh station has no gradient history).
@@ -41,7 +40,6 @@ import numpy as np
 from repro.core.model import STGNNDJD
 from repro.core.persistence import TrainingSnapshot, training_fingerprint
 from repro.data.stations import Station, StationRegistry
-from repro.serve.fleet.shard import ShardedFlowStore, ShardMap
 from repro.serve.state import FlowStateStore
 
 
@@ -389,10 +387,6 @@ def evolve_flow_store(
     Runs under the store lock and bumps :attr:`FlowStateStore.version`,
     invalidating every forecast cache keyed on the old windows.
     """
-    if store.owned_stations is not None:
-        raise ValueError(
-            "evolve a partitioned store through its ShardedFlowStore"
-        )
     with store._lock:
         old_cfg = store.config
         if old_cfg.num_stations != evolution.old_num_stations:
@@ -422,8 +416,6 @@ def evolve_flow_store(
         store._inflow = new_inflow
         store._outflow = new_outflow
         store._pending_inflow = new_pending
-        store._rows = new_n
-        store._owned_sel = slice(0, new_n)
         kk, d = new_cfg.short_window, new_cfg.long_days
         store._short_in = np.empty((kk, new_n, new_n))
         store._short_out = np.empty((kk, new_n, new_n))
@@ -432,85 +424,4 @@ def evolve_flow_store(
         store._zero_target = np.zeros(new_n)
         store._zero_target.setflags(write=False)
         store.version += 1
-        return drained
-
-
-def evolve_sharded_store(
-    fleet: ShardedFlowStore, evolution: GraphEvolution
-) -> float:
-    """Grow/shrink a sharded store in place (rebalanced shard blocks).
-
-    Retained history is assembled, remapped exactly like the single
-    store's, and redistributed over a fresh :class:`ShardMap` at the new
-    station count (shard count capped at the new count). The fleet
-    object identity — and its registered rollover listeners — survive,
-    so services keep their store reference across the evolution.
-    """
-    with fleet._lock:
-        fleet._heal()
-        old_cfg = fleet.config
-        if old_cfg.num_stations != evolution.old_num_stations:
-            raise ValueError(
-                f"store has {old_cfg.num_stations} stations, evolution "
-                f"starts from {evolution.old_num_stations}"
-            )
-        frontier = fleet.frontier
-        old_version = fleet.version
-        new_n = evolution.num_stations
-        kept = evolution.kept_array
-        k = len(kept)
-        first, inflow, outflow = fleet.retained_tensors()
-        new_inflow = np.zeros((inflow.shape[0], new_n, new_n))
-        new_outflow = np.zeros_like(new_inflow)
-        new_inflow[:, :k, :k] = inflow[:, kept][:, :, kept]
-        new_outflow[:, :k, :k] = outflow[:, kept][:, :, kept]
-        # Assemble full-city pending inflow per slot before remapping.
-        old_n = old_cfg.num_stations
-        pending_full: dict[int, np.ndarray] = {}
-        for shard in fleet.shards:
-            sel = shard.owned_selector
-            for slot, pending in shard._pending_inflow.items():
-                full = pending_full.get(slot)
-                if full is None:
-                    full = np.zeros((old_n, old_n))
-                    pending_full[slot] = full
-                full[sel] = pending
-        new_cfg = dataclasses.replace(old_cfg, num_stations=new_n)
-        num_shards = min(fleet.map.num_shards, new_n)
-        fleet.map = ShardMap(new_n, num_shards)
-        fleet.config = new_cfg
-        shards: list[FlowStateStore] = []
-        for i in range(num_shards):
-            shard = FlowStateStore(
-                new_cfg,
-                frontier=frontier,
-                owned_stations=fleet.map.stations(i),
-                metric_prefix=f"serve.shard{i}",
-            )
-            sel = shard.owned_selector
-            for idx, slot in enumerate(range(first, frontier + 1)):
-                row = slot % shard._capacity
-                shard._inflow[row] = new_inflow[idx][sel]
-                shard._outflow[row] = new_outflow[idx][sel]
-            shard._warm_started = True
-            shards.append(shard)
-        drained = 0.0
-        for slot, full in pending_full.items():
-            sub = full[np.ix_(kept, kept)]
-            drained += float(full.sum()) - float(sub.sum())
-            if not sub.any():
-                continue
-            remapped = np.zeros((new_n, new_n))
-            remapped[:k, :k] = sub
-            for shard in shards:
-                part = remapped[shard.owned_selector]
-                if part.any():
-                    shard._pending_inflow[slot] = part.copy()
-        # Keep the fleet version monotonic across the rebuild: forecast
-        # caches key on it, and a reset-to-zero could collide with an
-        # old key.
-        shards[0].version = old_version + 1
-        fleet.shards = shards
-        fleet._zero_target = np.zeros(new_n)
-        fleet._zero_target.setflags(write=False)
         return drained

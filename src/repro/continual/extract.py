@@ -1,9 +1,8 @@
 """Turn live flow-store history into training-ready datasets.
 
 The continual-learning loop (:mod:`repro.continual.loop`) retrains on
-what the serving fleet has actually observed. This module is the bridge
-from :class:`~repro.serve.state.FlowStateStore` /
-:class:`~repro.serve.fleet.shard.ShardedFlowStore` back into the
+what the prediction service has actually observed. This module is the
+bridge from :class:`~repro.serve.state.FlowStateStore` back into the
 offline training stack:
 
 * :func:`extract_training_dataset` pulls a day-aligned multi-day window

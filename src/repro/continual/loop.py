@@ -18,16 +18,16 @@ Each :meth:`~ContinualLearner.run_cycle`:
    the live model by at least ``improvement_band``;
 4. **promote** — atomically writes the candidate checkpoint with a
    fresh quality baseline, pre-flights it through the schema/corruption
-   checks (:func:`~repro.core.persistence.load_stgnn`), and rolls it
-   out through the deployment's ``reload`` — for a
-   :class:`~repro.serve.fleet.router.FleetRouter` that is the staged
-   canary → shadow-check → fan-out path, serialized against operator
-   reloads by the router's promotion lock.
+   checks (:func:`~repro.core.persistence.load_stgnn`), and hot-reloads
+   the service onto it (:meth:`~repro.serve.service.PredictionService.reload`).
 
-Every stage sits behind a ``continual.*`` fault seam; a failure at any
-stage leaves the live model, checkpoint and snapshot untouched (stages
-1–3) or rolled back (stage 4: the previous checkpoint is restored,
-quarantined canaries are reloaded onto it and un-quarantined).
+The shadow evaluation is the promotion's only model check: a candidate
+whose held-back RMSE is not finite (NaN weights, a diverged retrain)
+never reaches ``reload``. Every stage sits behind a ``continual.*``
+fault seam; a failure at any stage leaves the live model, checkpoint
+and snapshot untouched (stages 1–3) or rolled back (stage 4: the
+previous checkpoint is restored, and a service whose reload failed is
+reloaded onto it so it stops flagging responses stale).
 
 Graph evolution (:meth:`~ContinualLearner.apply_station_change`)
 handles the city changing shape under the loop: the live store grows or
@@ -35,7 +35,7 @@ shrinks in place (pending in-transit inflows for removed stations are
 drained), the registry is re-indexed, the deployed checkpoint and the
 training snapshot are remapped parameter-by-parameter
 (:mod:`repro.continual.evolve`), and the evolved weights roll out
-through the same staged reload — no process restart.
+through the same hot reload — no process restart.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from repro.continual.evolve import (
     evolve_flow_store,
     evolve_model,
     evolve_registry,
-    evolve_sharded_store,
     evolve_training_snapshot,
 )
 from repro.continual.extract import extract_training_dataset, holdback_samples
@@ -80,7 +79,7 @@ class ContinualError(RuntimeError):
 
 class PromotionRolledBack(ContinualError):
     """Promotion failed after the checkpoint write; the previous
-    checkpoint was restored and quarantined replicas recovered."""
+    checkpoint was restored and the service reloaded onto it."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,16 +144,14 @@ class CycleResult:
 class ContinualLearner:
     """Drives incremental retraining against a live deployment.
 
-    ``store`` is the live :class:`~repro.serve.state.FlowStateStore` or
-    :class:`~repro.serve.fleet.shard.ShardedFlowStore` (ingestion keeps
-    writing to it while cycles run — extraction reads a consistent
-    finalized window under the store lock). ``deploy`` is anything with
-    the serving reload contract — a single
-    :class:`~repro.serve.service.PredictionService` or a whole
-    :class:`~repro.serve.fleet.router.FleetRouter`. The checkpoint at
-    ``config.checkpoint_path`` and the snapshot at
-    ``config.snapshot_path`` must exist (the initial offline training
-    writes both); the loop keeps the pair in lockstep from then on.
+    ``store`` is the live :class:`~repro.serve.state.FlowStateStore`
+    (ingestion keeps writing to it while cycles run — extraction reads
+    a consistent finalized window under the store lock). ``deploy`` is
+    the :class:`~repro.serve.service.PredictionService` serving from
+    that store. The checkpoint at ``config.checkpoint_path`` and the
+    snapshot at ``config.snapshot_path`` must exist (the initial offline
+    training writes both); the loop keeps the pair in lockstep from then
+    on.
     """
 
     def __init__(
@@ -327,8 +324,8 @@ class ContinualLearner:
         save_checkpoint(candidate, path, quality_baseline=baseline)
         try:
             # Corruption seam + pre-flight: whatever is on disk must pass
-            # the checkpoint schema/corruption gate before any replica is
-            # told to load it — a bad artifact never reaches the fleet.
+            # the checkpoint schema/corruption gate before the service is
+            # told to load it — a bad artifact never reaches serving.
             fault_transform("continual.promote.artifact", path)
             load_stgnn(path)
             version = self.deploy.reload(path)
@@ -353,21 +350,22 @@ class ContinualLearner:
         return version
 
     def _rollback(self, live, old_baseline: QualityBaseline | None) -> None:
-        """Restore the pre-promotion checkpoint and recover the fleet.
+        """Restore the pre-promotion checkpoint and recover the service.
 
-        The candidate may already sit on disk and in a quarantined
-        canary; rewrite the previous weights (atomic, same path the
-        watchers poll), reload any quarantined replica onto them, and
-        lift the quarantine — the ladder ends with the fleet exactly as
-        before the promotion attempt.
+        The candidate may already sit on disk; rewrite the previous
+        weights (atomic, same path the watcher polls). A failed
+        ``reload`` kept the old weights serving but marks every
+        response stale until a reload succeeds, so reload the service
+        onto the restored checkpoint — the ladder ends with the same
+        weights serving, no longer flagged stale.
         """
         path = self.config.checkpoint_path
         save_checkpoint(live, path, quality_baseline=old_baseline)
-        restore = getattr(self.deploy, "restore_replica", None)
-        if restore is not None:
-            for index in sorted(self.deploy.quarantined):
-                self.deploy.replicas[index].reload(path)
-                restore(index)
+        if self.deploy.reload_failed:
+            try:
+                self.deploy.reload(path)
+            except Exception:  # noqa: BLE001 - the service keeps answering stale
+                logger.exception("reload of the restored checkpoint failed")
         logger.warning("promotion rolled back; previous checkpoint restored")
 
     # ------------------------------------------------------------------
@@ -384,7 +382,7 @@ class ContinualLearner:
         ``reload`` checks candidate models against), then serving caches
         and quality windows are flushed (their arrays are sized to the
         old city), then the evolved checkpoint rolls out through the
-        staged reload, and finally the on-disk training snapshot is
+        hot reload, and finally the on-disk training snapshot is
         remapped so the next cycle warm-starts in the new shape.
         Returns the pending in-transit inflow mass drained from removed
         stations.
@@ -397,13 +395,9 @@ class ContinualLearner:
         old_model = load_stgnn(self.config.checkpoint_path)
         snapshot = load_training_snapshot(self.config.snapshot_path)
 
-        if hasattr(self.store, "shards"):
-            drained = evolve_sharded_store(self.store, evolution)
-        else:
-            drained = evolve_flow_store(self.store, evolution)
+        drained = evolve_flow_store(self.store, evolution)
         self.registry = evolve_registry(self.registry, evolution, new_stations)
-        for service in self._services():
-            service.on_graph_evolved()
+        self.deploy.on_graph_evolved()
 
         new_model = evolve_model(old_model, evolution, seed=self.config.seed)
         # The old quality baseline scored a different station set; drop
@@ -430,7 +424,3 @@ class ContinualLearner:
             evolution.old_num_stations, evolution.num_stations, drained,
         )
         return drained
-
-    def _services(self):
-        replicas = getattr(self.deploy, "replicas", None)
-        return list(replicas) if replicas is not None else [self.deploy]

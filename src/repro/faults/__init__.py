@@ -33,7 +33,7 @@ site                            where / what it models
 ``continual.evaluate``          before the candidate-vs-live shadow evaluation
 ``continual.promote``           before the candidate checkpoint hits disk
 ``continual.promote.artifact``  transform: the checkpoint path between the
-                                atomic write and the fleet rollout (bit rot)
+                                atomic write and the service reload (bit rot)
 ==============================  =================================================
 """
 

@@ -34,19 +34,6 @@ _HELP_PREFIXES: tuple[tuple[str, str], ...] = (
     ("serve.stale", "Predict responses served from a stale forecast."),
     ("serve.cache", "Forecast cache activity on the serving path."),
     ("serve.", "Serving micro-batch pipeline metric."),
-    ("fleet.requests", "Requests routed by the fleet router."),
-    ("fleet.retries", "Requests rerouted after a replica shed or failed."),
-    ("fleet.rejected", "Requests shed by every replica (fleet-wide 503)."),
-    ("fleet.restarts", "Dead replica dispatchers revived by the router."),
-    ("fleet.staged_reloads", "Checkpoint rollouts fanned out past the canary."),
-    ("fleet.quarantined", "Replicas currently excluded from dispatch."),
-    ("fleet.ingest_events", "Trip events accepted by the sharded flow store."),
-    ("fleet.ingest_dropped_late", "Trip events behind the retained horizon."),
-    ("fleet.cross_shard_events", "Trips whose origin and destination shards differ."),
-    ("fleet.rollovers", "Slots finalized fleet-wide by the shared clock."),
-    ("fleet.frontier", "Current slot frontier of the sharded flow store."),
-    ("fleet.replica", "Per-replica serving metric (see serve.* equivalents)."),
-    ("fleet.", "Fleet routing/sharding metric."),
     ("quality.rmse", "Rolling forecast RMSE over reconciled slots."),
     ("quality.mae", "Rolling forecast MAE over reconciled slots."),
     ("quality.drift_ratio", "Rolling RMSE over the training-time baseline RMSE."),

@@ -104,8 +104,8 @@ def evaluate_slos(config: SLOConfig | None = None,
     Returns ``{"healthy": bool, "objectives": [...]}`` where each
     objective carries its name, current value (None when no data),
     target, and per-objective verdict. ``prefix`` selects whose metrics
-    are read — ``"serve"`` (the single-service default) or a fleet
-    replica's ``"fleet.replica{i}"``.
+    are read: the ``ServiceConfig.name`` of the service being
+    evaluated (``"serve"`` by default).
     """
     config = config or SLOConfig()
     reg = registry or default_registry()
@@ -157,127 +157,4 @@ def evaluate_slos(config: SLOConfig | None = None,
     return {
         "healthy": all(obj["healthy"] for obj in objectives),
         "objectives": objectives,
-    }
-
-
-class _MergedHistogram:
-    """Duck-typed histogram summing per-replica latency histograms.
-
-    All registry histograms of one metric family share the same fixed
-    bucket bounds, so the fleet-wide distribution is the element-wise
-    sum of bucket counts — exact for quantile estimation, no sketch
-    approximation needed.
-    """
-
-    __slots__ = ("bounds", "bucket_counts", "count", "sum", "min", "max")
-
-    def __init__(self, hists: list[Histogram]) -> None:
-        self.bounds = hists[0].bounds
-        # len(bounds) + 1: the implicit +Inf overflow bucket merges too.
-        self.bucket_counts = [
-            sum(h.bucket_counts[i] for h in hists)
-            for i in range(len(self.bounds) + 1)
-        ]
-        self.count = sum(h.count for h in hists)
-        self.sum = sum(h.sum for h in hists)
-        self.min = min((h.min for h in hists if h.count), default=None)
-        self.max = max((h.max for h in hists if h.count), default=None)
-
-
-def aggregate_slos(config: SLOConfig | None = None,
-                   prefixes: "list[str] | None" = None,
-                   registry: Registry | None = None,
-                   qualities: "dict[str, object] | None" = None) -> dict:
-    """Fleet-wide SLO view across N replica metric prefixes.
-
-    Returns::
-
-        {"healthy": ..., "fleet": {...}, "replicas": {prefix: {...}},
-         "worst_replica": prefix | None}
-
-    ``fleet`` evaluates the objectives over the *merged* traffic —
-    latency histograms bucket-summed, counters added — so its p99 is
-    the true fleet p99, not an average of averages. ``replicas`` holds
-    each replica's own verdict, and ``worst_replica`` names the replica
-    with the most failing objectives (ties: highest p99), the one an
-    operator should look at first. Fleet health requires the merged
-    view *and* every replica to be healthy.
-    """
-    config = config or SLOConfig()
-    reg = registry or default_registry()
-    prefixes = prefixes or ["serve"]
-    qualities = qualities or {}
-    metrics = reg.metrics()
-
-    replicas = {}
-    for prefix in prefixes:
-        replicas[prefix] = evaluate_slos(
-            config, registry=reg, quality=qualities.get(prefix), prefix=prefix
-        )
-
-    def counters(stem: str) -> float:
-        total = 0.0
-        for prefix in prefixes:
-            metric = metrics.get(f"{prefix}.{stem}")
-            if metric is not None and metric.kind == "counter":
-                total += metric.value
-        return total
-
-    objectives = []
-    hists = [
-        h for h in (metrics.get(f"{p}.request_seconds") for p in prefixes)
-        if isinstance(h, Histogram) and h.count > 0
-    ]
-    p99 = histogram_quantile(_MergedHistogram(hists), 0.99) if hists else None
-    objectives.append(
-        _objective("p99_latency_seconds", p99, config.p99_latency_seconds)
-    )
-    requests = counters("requests")
-    staleness = (counters("stale_served") / requests) if requests else None
-    objectives.append(
-        _objective("staleness_ratio", staleness, config.max_staleness_ratio)
-    )
-    rejected = counters("rejected")
-    burn = (rejected / (requests + rejected)) if (requests + rejected) else None
-    objectives.append(
-        _objective("error_budget_burn", burn, config.error_budget)
-    )
-    drift_objs = [
-        obj for report in replicas.values() for obj in report["objectives"]
-        if obj["name"] == "drift_ratio"
-    ]
-    if drift_objs:
-        # Fleet drift is the worst replica's: one drifting replica is a
-        # fleet problem (it is serving a share of all traffic).
-        values = [o["value"] for o in drift_objs if o["value"] is not None]
-        objectives.append({
-            "name": "drift_ratio",
-            "value": max(values) if values else None,
-            "target": drift_objs[0]["target"],
-            "comparison": drift_objs[0]["comparison"],
-            "healthy": all(o["healthy"] for o in drift_objs),
-        })
-    fleet = {
-        "healthy": all(obj["healthy"] for obj in objectives),
-        "objectives": objectives,
-    }
-
-    def badness(prefix: str) -> tuple:
-        report = replicas[prefix]
-        failing = sum(1 for o in report["objectives"] if not o["healthy"])
-        p99_obj = next(
-            (o for o in report["objectives"]
-             if o["name"] == "p99_latency_seconds"), None,
-        )
-        p99_val = p99_obj["value"] if p99_obj and p99_obj["value"] else 0.0
-        return (failing, p99_val)
-
-    worst = max(prefixes, key=badness) if prefixes else None
-    return {
-        "healthy": fleet["healthy"] and all(
-            r["healthy"] for r in replicas.values()
-        ),
-        "fleet": fleet,
-        "replicas": replicas,
-        "worst_replica": worst,
     }

@@ -16,10 +16,9 @@ story (Sec. VII-I), built in three layers:
   ``/predict``, ``/ingest``, ``/healthz``, ``/metrics`` and
   ``/admin/reload``; ``python -m repro.serve`` boots it from the
   command line.
-* :mod:`repro.serve.fleet` — the scale-out tier: K-way station-sharded
-  flow state (bitwise-equal reassembly) behind N replicated prediction
-  services and a front-of-fleet router; ``python -m repro.serve
-  --shards K --replicas N`` boots a fleet behind the same HTTP surface.
+
+One city is one store and one service, as in the paper: a single model
+forecasts every station in one forward pass.
 
 Quickstart (in-process)::
 
@@ -35,39 +34,23 @@ from repro.serve.state import FlowStateConfig, FlowStateStore, LateEventError
 from repro.serve.service import (
     Forecast,
     PredictionService,
-    ReplicaCrash,
     ServiceConfig,
     ServiceError,
     ServiceOverloaded,
     ServiceStopped,
 )
 from repro.serve.http import ServingHTTPServer, make_server
-from repro.serve.fleet import (
-    FleetConfig,
-    FleetReloadError,
-    FleetRouter,
-    ShardedFlowStore,
-    ShardMap,
-    make_fleet_server,
-)
 
 __all__ = [
-    "FleetConfig",
-    "FleetReloadError",
-    "FleetRouter",
     "FlowStateConfig",
     "FlowStateStore",
     "LateEventError",
     "Forecast",
     "PredictionService",
-    "ReplicaCrash",
     "ServiceConfig",
     "ServiceError",
     "ServiceOverloaded",
     "ServiceStopped",
     "ServingHTTPServer",
-    "ShardMap",
-    "ShardedFlowStore",
-    "make_fleet_server",
     "make_server",
 ]

@@ -14,13 +14,6 @@ over a synthetic city whose history warm-starts the flow-state store::
     curl localhost:8973/metrics
     curl -X POST localhost:8973/admin/reload
 
-``--shards K`` and/or ``--replicas N`` boot the fleet tier instead: the
-same HTTP surface over a K-way station-sharded store and N replicated
-prediction services with least-loaded routing, plus ``GET /replicas``::
-
-    python -m repro.serve --shards 2 --replicas 2 --port 8973
-    curl localhost:8973/replicas
-
 The ``--city`` options regenerate the same deterministic synthetic
 datasets the examples use, so a checkpoint trained by
 ``examples/train_save_deploy.py`` matches ``--city deploy`` here.
@@ -38,7 +31,6 @@ from repro.obs.quality import QualityConfig
 from repro.obs.registry import enable_metrics
 from repro.obs.slo import SLOConfig
 from repro.obs.trace import TraceConfig, enable_tracing
-from repro.serve.fleet import FleetRouter, make_fleet_server
 from repro.serve.http import make_server
 from repro.serve.service import PredictionService, ServiceConfig
 from repro.utils import get_logger, set_global_level
@@ -67,21 +59,11 @@ def _validate_args(parser: argparse.ArgumentParser,
                    args: argparse.Namespace) -> None:
     """Reject inconsistent flag combinations with a clear parser error.
 
-    Everything here used to surface later as a traceback from some
-    config ``__post_init__`` (or, worse, as a hung fleet) — the CLI
-    contract is that bad flags die at parse time with the flag's name
-    in the message.
+    Everything here would otherwise surface later as a traceback from
+    some config ``__post_init__`` (or, worse, as a server that never
+    answers) — the CLI contract is that bad flags die at parse time
+    with the flag's name in the message.
     """
-    if args.replicas < 1:
-        parser.error(f"--replicas must be >= 1, got {args.replicas}")
-    if args.shards < 1:
-        parser.error(f"--shards must be >= 1, got {args.shards}")
-    num_stations = _city_config(args.city).num_stations
-    if args.shards > num_stations:
-        parser.error(
-            f"--shards {args.shards} exceeds the {num_stations} stations "
-            f"of --city {args.city} (each shard needs at least one station)"
-        )
     if args.max_batch < 1:
         parser.error(f"--max-batch must be >= 1, got {args.max_batch}")
     if args.batch_wait < 0:
@@ -125,21 +107,16 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
     )
 
 
-def build_service(args: argparse.Namespace) -> "PredictionService | FleetRouter":
-    """One service, or a fleet router when --shards/--replicas ask for it."""
+def build_service(args: argparse.Namespace) -> PredictionService:
+    """The prediction service over the chosen city's warm-started store."""
     dataset = generate_city(_city_config(args.city), seed=args.seed)
     if args.checkpoint:
         model = load_stgnn(args.checkpoint)
     else:
         logger.warning("no --checkpoint given: serving an untrained model")
         model = STGNNDJD.from_dataset(dataset, seed=args.seed)
-    config = _service_config(args)
-    if args.replicas == 1 and args.shards == 1:
-        return PredictionService.for_dataset(model, dataset, config=config)
-    return FleetRouter.for_dataset(
-        model, dataset,
-        num_shards=args.shards, num_replicas=args.replicas,
-        service_config=config,
+    return PredictionService.for_dataset(
+        model, dataset, config=_service_config(args)
     )
 
 
@@ -156,12 +133,6 @@ def main(argv: list[str] | None = None) -> None:
                         choices=("deploy", "tiny", "la", "chicago"),
                         help="synthetic city whose history warms the store")
     parser.add_argument("--seed", type=int, default=13)
-    parser.add_argument("--replicas", type=int, default=1,
-                        help="prediction-service replicas behind the "
-                             "fleet router (1: single service, no router)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="station shards for the flow store "
-                             "(1 with --replicas 1: single store)")
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--batch-wait", type=float, default=0.002,
                         help="micro-batch coalescing window, seconds")
@@ -199,10 +170,7 @@ def main(argv: list[str] | None = None) -> None:
     if args.trace:
         enable_tracing(TraceConfig(sample_rate=args.trace_sample))
     service = build_service(args)
-    if isinstance(service, FleetRouter):
-        server = make_fleet_server(service, host=args.host, port=args.port)
-    else:
-        server = make_server(service, host=args.host, port=args.port)
+    server = make_server(service, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     with service:
         logger.info("serving on http://%s:%d (frontier slot %d)",

@@ -56,25 +56,12 @@ logger = get_logger("serve.http")
 
 
 class ServingHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer bound to one PredictionService.
-
-    ``service`` may be anything exposing the handler's contract —
-    ``predict``/``store``/``status``/``reload``/``model_version``/
-    ``running``/``reload_failed`` — which is how the fleet router
-    (:class:`repro.serve.fleet.FleetRouter`) reuses this front end
-    unchanged. ``handler`` swaps in a subclassed request handler (the
-    fleet adds ``/replicas``).
-    """
+    """ThreadingHTTPServer bound to one PredictionService."""
 
     daemon_threads = True
 
-    def __init__(
-        self,
-        address: tuple[str, int],
-        service: PredictionService,
-        handler: "type[ServingHandler] | None" = None,
-    ) -> None:
-        super().__init__(address, handler or ServingHandler)
+    def __init__(self, address: tuple[str, int], service: PredictionService) -> None:
+        super().__init__(address, ServingHandler)
         self.service = service
 
 

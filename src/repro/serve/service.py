@@ -99,18 +99,6 @@ class ServiceStopped(ServiceError):
     """The service stopped before the request completed."""
 
 
-class ReplicaCrash(ServiceError):
-    """An injected replica crash: kills the dispatcher thread.
-
-    The process-level ``crash`` fault action is ``os._exit`` — unusable
-    for killing *one* replica of an in-process fleet. Injecting this
-    exception at a replica's dispatch seam (``fleet.replica{i}.dispatch``)
-    instead fails the in-flight batch and then tears down the dispatcher
-    thread, so the replica goes ``running=False`` mid-traffic and the
-    router has to route around it and restart it.
-    """
-
-
 @dataclass(frozen=True, slots=True)
 class ServiceConfig:
     """Serving knobs.
@@ -128,10 +116,10 @@ class ServiceConfig:
     ``/status`` endpoint evaluates.
 
     ``name`` prefixes the service's metric names and fault sites
-    (``{name}.requests``, ``{name}.dispatch``, ...). The default
-    ``"serve"`` preserves the historical names; a fleet names each
-    replica ``fleet.replica{i}`` so per-replica traffic, faults, and
-    SLOs stay distinguishable in one shared registry.
+    (``{name}.requests``, ``{name}.dispatch``, ...). The default is
+    ``"serve"``; services sharing one registry (a live model and a
+    frozen reference in the same process) take distinct names so their
+    traffic, faults and SLOs stay separate.
 
     ``retry_jitter`` bounds the randomized fraction added to the
     ``Retry-After`` hint on overload: the advertised delay is drawn
@@ -256,14 +244,14 @@ class PredictionService:
         name = self.config.name
         self.name = name
         # Fault sites carry the same prefix as metrics: the default
-        # "serve.dispatch"/"serve.forecast"/"serve.reload" sites stay,
-        # and a fleet replica exposes fleet.replica{i}.* instead.
+        # "serve.dispatch"/"serve.forecast"/"serve.reload" sites, or
+        # {name}.* for a service given another name.
         self._dispatch_site = f"{name}.dispatch"
         self._forecast_site = f"{name}.forecast"
         self._reload_site = f"{name}.reload"
         # Deterministic per-service jitter stream for Retry-After hints:
-        # seeded from the service name so replicas decorrelate from each
-        # other without ever touching global RNG state (request-path
+        # seeded from the service name so differently named services
+        # decorrelate without ever touching global RNG state (request-path
         # purity is pinned by tests/serve/test_rng_isolation.py).
         self._retry_rng = random.Random(zlib.crc32(name.encode()))
         self._requests_counter = obs.counter(f"{name}.requests")
@@ -375,11 +363,6 @@ class PredictionService:
     def reload_failed(self) -> bool:
         """Whether the newest reload attempt failed (weights lag the disk)."""
         return self._reload_failed
-
-    @property
-    def pending(self) -> int:
-        """Requests admitted but not yet answered (the router's load signal)."""
-        return self._queue.qsize()
 
     def _next_retry_after(self) -> float:
         """The jittered Retry-After hint for one overload rejection."""
@@ -574,14 +557,6 @@ class PredictionService:
                     for request in batch:
                         request.error = error
                         request.done.set()
-                    if isinstance(error, ReplicaCrash):
-                        # An injected crash: fail the in-flight batch
-                        # honestly, then take the dispatcher down with
-                        # it. ``running`` flips False and the fleet
-                        # router must detect, bypass, and restart us.
-                        logger.error("%s: dispatcher crashed (%s)",
-                                     self.name, error)
-                        return
                     continue
                 batch_span.set(outcome="ok", slot=full.slot,
                                cached=full.cached, stale=full.stale)

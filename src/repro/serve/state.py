@@ -31,16 +31,6 @@ Mechanics
   so forecast caches invalidate); events older than the retained
   horizon follow ``late_policy``: counted and dropped by default, or a
   hard error for pipelines that consider lateness a bug.
-* **Station partitioning** — a store constructed with
-  ``owned_stations`` holds only the matrix *rows* of those stations
-  (``(H + 1, n_owned, n)`` rings instead of ``(H + 1, n, n)``) and
-  applies only the sub-updates that land in them: the outflow update of
-  a trip whose *origin* it owns, the inflow update of a trip whose
-  *destination* it owns. :class:`repro.serve.fleet.ShardedFlowStore`
-  routes every trip to its origin and destination shards and
-  reassembles full-city tensors bitwise equal to an unpartitioned
-  store, because each cell is owned by exactly one shard and receives
-  its updates in the same per-cell order.
 
 Equivalence guarantee
 ---------------------
@@ -155,46 +145,14 @@ class FlowStateStore:
     reads windows from it.
     """
 
-    def __init__(
-        self,
-        config: FlowStateConfig,
-        frontier: int = 0,
-        owned_stations: "np.ndarray | list[int] | None" = None,
-        metric_prefix: str = "serve",
-    ) -> None:
+    def __init__(self, config: FlowStateConfig, frontier: int = 0) -> None:
         if frontier < 0:
             raise ValueError(f"frontier must be >= 0, got {frontier}")
         self.config = config
         n = config.num_stations
-        if owned_stations is None:
-            self._owned: np.ndarray | None = None
-            self._owned_sel: "slice | np.ndarray" = slice(0, n)
-            self._local: np.ndarray | None = None
-            rows = n
-        else:
-            owned = np.unique(np.asarray(owned_stations, dtype=int))
-            if owned.size == 0:
-                raise ValueError("owned_stations must name at least one station")
-            if owned[0] < 0 or owned[-1] >= n:
-                raise ValueError(
-                    f"owned_stations must be in 0..{n - 1}, got "
-                    f"{owned[0]}..{owned[-1]}"
-                )
-            self._owned = owned
-            # Contiguous blocks (the ShardMap layout) scatter/gather with
-            # a basic slice instead of fancy indexing.
-            if owned.size == owned[-1] - owned[0] + 1:
-                self._owned_sel = slice(int(owned[0]), int(owned[-1]) + 1)
-            else:
-                self._owned_sel = owned
-            local = np.full(n, -1, dtype=np.int64)
-            local[owned] = np.arange(owned.size)
-            self._local = local
-            rows = int(owned.size)
-        self._rows = rows
         self._capacity = config.retention + 1  # retained slots: (f - R, f]
-        self._inflow = np.zeros((self._capacity, rows, n))
-        self._outflow = np.zeros((self._capacity, rows, n))
+        self._inflow = np.zeros((self._capacity, n, n))
+        self._outflow = np.zeros((self._capacity, n, n))
         self._pending_inflow: dict[int, np.ndarray] = {}
         self._frontier = frontier
         self._start_frontier = frontier
@@ -204,24 +162,19 @@ class FlowStateStore:
         #: landing behind the frontier). Forecast caches key on it.
         self.version = 0
         self._lock = threading.RLock()
-        # Preallocated window snapshots + index scratch for sample();
-        # partitioned stores cannot serve full windows (the fleet
-        # assembles them), so they skip the buffers entirely.
-        if self._owned is None:
-            k, d = config.short_window, config.long_days
-            self._short_in = np.empty((k, n, n))
-            self._short_out = np.empty((k, n, n))
-            self._long_in = np.empty((d, n, n))
-            self._long_out = np.empty((d, n, n))
-            self._zero_target = np.zeros(n)
-            self._zero_target.setflags(write=False)
+        # Preallocated window snapshots for sample().
+        k, d = config.short_window, config.long_days
+        self._short_in = np.empty((k, n, n))
+        self._short_out = np.empty((k, n, n))
+        self._long_in = np.empty((d, n, n))
+        self._long_out = np.empty((d, n, n))
+        self._zero_target = np.zeros(n)
+        self._zero_target.setflags(write=False)
         obs = default_registry()
-        self._events_counter = obs.counter(f"{metric_prefix}.ingest_events")
-        self._late_dropped_counter = obs.counter(
-            f"{metric_prefix}.ingest_dropped_late"
-        )
-        self._rollover_counter = obs.counter(f"{metric_prefix}.rollovers")
-        self._frontier_gauge = obs.gauge(f"{metric_prefix}.frontier")
+        self._events_counter = obs.counter("serve.ingest_events")
+        self._late_dropped_counter = obs.counter("serve.ingest_dropped_late")
+        self._rollover_counter = obs.counter("serve.rollovers")
+        self._frontier_gauge = obs.gauge("serve.frontier")
         #: Rollover listeners: fn(store, closed_slots) called after each
         #: frontier advance with the range of slots that just closed.
         self._listeners: list = []
@@ -235,8 +188,6 @@ class FlowStateStore:
         dataset: BikeShareDataset,
         frontier: int | None = None,
         late_policy: str = "drop",
-        owned_stations: "np.ndarray | list[int] | None" = None,
-        metric_prefix: str = "serve",
         retained_slots: int | None = None,
     ) -> "FlowStateStore":
         """Warm-start a store from a dataset's materialized flow history.
@@ -244,8 +195,7 @@ class FlowStateStore:
         ``frontier`` defaults to ``dataset.num_slots`` — the store picks
         up exactly where the offline tensors end, with every retained
         slot already populated, so the first online prediction has full
-        windows instead of a zero-padded warm-up. A partitioned store
-        (``owned_stations``) copies only its own rows.
+        windows instead of a zero-padded warm-up.
         """
         config = FlowStateConfig.for_dataset(
             dataset, late_policy=late_policy, retained_slots=retained_slots
@@ -255,18 +205,12 @@ class FlowStateStore:
             raise ValueError(
                 f"frontier {frontier} outside the dataset's 0..{dataset.num_slots}"
             )
-        store = cls(
-            config,
-            frontier=frontier,
-            owned_stations=owned_stations,
-            metric_prefix=metric_prefix,
-        )
+        store = cls(config, frontier=frontier)
         first = max(0, frontier - config.retention)
-        sel = store._owned_sel
         for slot in range(first, frontier):
             row = slot % store._capacity
-            store._inflow[row] = dataset.inflow[slot][sel]
-            store._outflow[row] = dataset.outflow[slot][sel]
+            store._inflow[row] = dataset.inflow[slot]
+            store._outflow[row] = dataset.outflow[slot]
         store._warm_started = True
         return store
 
@@ -288,16 +232,6 @@ class FlowStateStore:
         return max(0, self._frontier - self.config.retention)
 
     @property
-    def owned_stations(self) -> "np.ndarray | None":
-        """Global station ids this store holds rows for (None: all)."""
-        return self._owned
-
-    @property
-    def owned_selector(self) -> "slice | np.ndarray":
-        """Index into a full-city row axis selecting this store's rows."""
-        return self._owned_sel
-
-    @property
     def warmed_up(self) -> bool:
         """Whether every retained slot has been observed (or warm-started).
 
@@ -312,9 +246,8 @@ class FlowStateStore:
         )
 
     def __repr__(self) -> str:
-        owned = "" if self._owned is None else f", owned={self._rows}"
         return (
-            f"FlowStateStore(stations={self.config.num_stations}{owned}, "
+            f"FlowStateStore(stations={self.config.num_stations}, "
             f"frontier={self._frontier}, horizon={self.config.horizon}, "
             f"pending={len(self._pending_inflow)}, version={self.version})"
         )
@@ -350,26 +283,6 @@ class FlowStateStore:
         start_time, end_time = fault_transform(
             "state.clock", (start_time, end_time)
         )
-        return self.apply_event(origin, destination, start_time, end_time)
-
-    def apply_event(
-        self,
-        origin: int,
-        destination: int,
-        start_time: float,
-        end_time: float,
-    ) -> bool:
-        """The validated application path behind :meth:`ingest_event`.
-
-        Bypasses the per-event chaos seams so a routing layer
-        (:class:`repro.serve.fleet.ShardedFlowStore`) that already ran
-        them once can deliver the same event to both its origin and
-        destination shards without double-firing ``state.ingest`` /
-        ``state.clock``. A partitioned store applies only the
-        sub-updates landing in rows it owns; the accept/drop verdict
-        depends only on the (shared) slot clock, so every shard of a
-        coherent fleet returns the same answer for the same event.
-        """
         n = self.config.num_stations
         if not (0 <= origin < n and 0 <= destination < n):
             raise ValueError(
@@ -392,13 +305,11 @@ class FlowStateStore:
                     )
                 self._late_dropped_counter.inc()
                 return False
-            row = origin if self._local is None else int(self._local[origin])
-            if row >= 0:
-                self._outflow[start_slot % self._capacity][row, destination] += 1.0
-                if start_slot < self._frontier:
-                    # A late checkout changed an already-closed slot: any
-                    # forecast computed from the old windows is stale.
-                    self.version += 1
+            self._outflow[start_slot % self._capacity][origin, destination] += 1.0
+            if start_slot < self._frontier:
+                # A late checkout changed an already-closed slot: any
+                # forecast computed from the old windows is stale.
+                self.version += 1
             self._apply_inflow(destination, origin, end_slot)
             self._events_counter.inc()
             return True
@@ -409,22 +320,20 @@ class FlowStateStore:
         Matches the batch builder: returns before slot 0 are ignored,
         returns beyond the frontier wait in the pending map, returns
         behind the horizon fall off (they can never be read again).
-        Unowned rows of a partitioned store are skipped — the shard
-        owning the destination station applies them instead.
         """
-        row = station if self._local is None else int(self._local[station])
-        if end_slot < 0 or row < 0:
+        if end_slot < 0:
             return
         if end_slot > self._frontier:
             pending = self._pending_inflow.get(end_slot)
             if pending is None:
-                pending = np.zeros((self._rows, self.config.num_stations))
+                n = self.config.num_stations
+                pending = np.zeros((n, n))
                 self._pending_inflow[end_slot] = pending
-            pending[row, counterpart] += 1.0
+            pending[station, counterpart] += 1.0
             return
         if end_slot <= self._frontier - self._capacity:
             return  # behind the horizon: unreadable, matches eviction
-        self._inflow[end_slot % self._capacity][row, counterpart] += 1.0
+        self._inflow[end_slot % self._capacity][station, counterpart] += 1.0
         if end_slot < self._frontier:
             self.version += 1
 
@@ -500,9 +409,7 @@ class FlowStateStore:
         the same row sums :func:`repro.data.flows.demand_supply` takes,
         so reconciliation compares forecasts against exactly what the
         offline evaluation would. Raises :class:`IndexError` once the
-        slot has been evicted from the ring. A partitioned store
-        returns ``(n_owned,)`` vectors covering :attr:`owned_stations`
-        in ascending-id order.
+        slot has been evicted from the ring.
         """
         slot = int(slot)
         with self._lock:
@@ -533,11 +440,6 @@ class FlowStateStore:
         being asked for.
         """
         config = self.config
-        if self._owned is not None:
-            raise ValueError(
-                "a station-partitioned store holds only its own rows; "
-                "assemble full windows through ShardedFlowStore.sample()"
-            )
         t = self._frontier
         if t < config.horizon:
             raise IndexError(
@@ -558,33 +460,12 @@ class FlowStateStore:
                 target_supply=self._zero_target,
             )
 
-    def scatter_window(
-        self,
-        slots: np.ndarray,
-        inflow_out: np.ndarray,
-        outflow_out: np.ndarray,
-    ) -> None:
-        """Copy the ring rows for ``slots`` into full-city buffers.
-
-        ``*_out`` are ``(len(slots), n, n)`` arrays; only the rows this
-        store owns are written (all of them for an unpartitioned store),
-        so K disjoint shards scattering into the same buffers assemble
-        the complete city bitwise. The caller is responsible for slot
-        validity — this is the fleet's assembly primitive, running
-        under the fleet lock with coherent shard clocks.
-        """
-        with self._lock:
-            rows = slots % self._capacity
-            inflow_out[:, self._owned_sel, :] = self._inflow[rows]
-            outflow_out[:, self._owned_sel, :] = self._outflow[rows]
-
     def retained_tensors(self) -> tuple[int, np.ndarray, np.ndarray]:
         """``(first_slot, inflow, outflow)`` for every retained slot.
 
         The arrays are ``(m, n, n)`` contiguous copies covering slots
         ``first_slot .. frontier`` inclusive — the view the parity tests
-        compare bitwise against ``build_flow_tensors``. A partitioned
-        store returns its ``(m, n_owned, n)`` rows.
+        compare bitwise against ``build_flow_tensors``.
         """
         with self._lock:
             first = self.oldest_retained
@@ -607,9 +488,7 @@ class FlowStateStore:
         tensors the offline pipeline would have built. Raises
         :class:`ValueError` when the requested range reaches behind
         :attr:`oldest_retained` (deepen ``retained_slots`` to keep
-        more). A partitioned store returns its owned rows only;
-        :meth:`repro.serve.fleet.ShardedFlowStore.history_window`
-        assembles the full city.
+        more).
         """
         with self._lock:
             stop = self._frontier if end is None else int(end)

@@ -4,12 +4,14 @@ The invariants the continual loop must keep under injected failure:
 
 * a crash at extract/retrain/evaluate leaves the live deployment —
   checkpoint file, training snapshot, store, model version — untouched;
-* a failed promotion (canary quarantined by the fleet's shadow check)
-  is rolled back: the previous checkpoint is restored byte-compatible,
-  the canary reloads it, the quarantine is lifted;
-* a corrupt candidate artifact (bit rot between write and rollout)
-  never reaches a replica — the pre-flight schema/corruption gate from
-  the checkpoint layer stops it and the rollback ladder runs.
+* a failed promotion (the service's reload raises) is rolled back: the
+  previous weights are restored on disk and the service is reloaded
+  onto them, so it stops flagging responses stale;
+* a corrupt candidate artifact (bit rot between write and reload)
+  never reaches the service — the pre-flight schema/corruption gate
+  from the checkpoint layer stops it and the rollback ladder runs;
+* a candidate with non-finite weights fails the shadow evaluation and
+  is never handed to ``reload``.
 """
 
 import shutil
@@ -17,7 +19,11 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.core.persistence import load_state, load_training_snapshot
+from repro.core.persistence import (
+    load_quality_baseline,
+    load_state,
+    load_training_snapshot,
+)
 from repro.core.trainer import Trainer, TrainingConfig
 from repro.data.synthetic import SyntheticCityConfig, generate_city
 from repro.core.model import STGNNDJD
@@ -29,8 +35,6 @@ from repro.continual import (
 )
 from repro.faults import FaultPlan, InjectedFault, injected
 from repro.obs.events import JsonlExporter, read_events, sink_scope
-from repro.serve.fleet.router import FleetRouter
-from repro.serve.fleet.shard import ShardedFlowStore
 from repro.serve.service import PredictionService
 from repro.serve.state import FlowStateStore
 
@@ -58,7 +62,7 @@ def trained(tmp_path_factory):
     return dataset, root
 
 
-def _learner(dataset, artifacts, tmp_path, *, fleet=False):
+def _learner(dataset, artifacts, tmp_path):
     ckpt = tmp_path / "model.npz"
     snap = tmp_path / "snap.npz"
     shutil.copy(artifacts / "model.npz", ckpt)
@@ -66,21 +70,11 @@ def _learner(dataset, artifacts, tmp_path, *, fleet=False):
     from repro.core.persistence import load_stgnn
 
     model = load_stgnn(ckpt)
-    if fleet:
-        store = ShardedFlowStore.from_dataset(
-            dataset, num_shards=2, retained_slots=RETAINED
-        )
-        deploy = FleetRouter.build(
-            model, store,
-            dataset.demand_normalizer, dataset.supply_normalizer,
-            num_replicas=2,
-        ).start()
-    else:
-        store = FlowStateStore.from_dataset(dataset, retained_slots=RETAINED)
-        deploy = PredictionService(
-            model, store,
-            dataset.demand_normalizer, dataset.supply_normalizer,
-        ).start()
+    store = FlowStateStore.from_dataset(dataset, retained_slots=RETAINED)
+    deploy = PredictionService(
+        model, store,
+        dataset.demand_normalizer, dataset.supply_normalizer,
+    ).start()
     config = ContinualConfig(
         checkpoint_path=str(ckpt), snapshot_path=str(snap),
         train_days=7, retrain_epochs=1, holdback_slots=6,
@@ -140,50 +134,58 @@ def test_crash_at_promote_seam_leaves_checkpoint_untouched(trained, tmp_path):
         deploy.stop()
 
 
-def test_failed_canary_promotion_rolls_back_through_quarantine(
-    trained, tmp_path
-):
+def _assert_old_weights_on_disk(ckpt, old_state):
+    restored = load_state(ckpt)
+    assert restored.keys() == old_state.keys()
+    for name in old_state:
+        assert np.array_equal(restored[name], old_state[name]), name
+
+
+def test_failed_reload_rolls_back_and_stops_serving_stale(trained, tmp_path):
     dataset, artifacts = trained
-    learner, fleet, store, ckpt, snap = _learner(
-        dataset, artifacts, tmp_path, fleet=True
-    )
+    learner, deploy, store, ckpt, snap = _learner(dataset, artifacts, tmp_path)
     try:
         old_state = load_state(ckpt)
+        old_baseline = load_quality_baseline(ckpt)
         old_snapshot_bytes = snap.read_bytes()
+        before = deploy.predict(None)
         events_path = tmp_path / "events.jsonl"
-        # The canary's post-reload shadow forecast raises -> the router
-        # quarantines it and the promotion must roll back.
-        plan = FaultPlan(seed=0).on("fleet.replica0.forecast", at=1)
+        # The promotion's reload raises: the service keeps the old
+        # weights but marks them stale until a reload succeeds.
+        plan = FaultPlan(seed=0).on("serve.reload", at=1)
         with sink_scope(JsonlExporter(events_path)) as sink:
             with injected(plan):
                 with pytest.raises(PromotionRolledBack):
                     learner.run_cycle()
             sink.close()
-        assert fleet.quarantined == frozenset()
-        # Previous weights are back on disk and on every replica.
-        restored = load_state(ckpt)
-        assert restored.keys() == old_state.keys()
-        for name in old_state:
-            assert np.array_equal(restored[name], old_state[name]), name
+        assert plan.fired
+        _assert_old_weights_on_disk(ckpt, old_state)
+        assert load_quality_baseline(ckpt) == old_baseline
         assert snap.read_bytes() == old_snapshot_bytes
-        forecast = fleet.predict(None)
-        assert np.all(np.isfinite(np.asarray(forecast.demand)))
+        # The rollback reloaded the restored checkpoint: the same weights
+        # serve (bitwise the same forecast), no longer flagged stale.
+        assert not deploy.reload_failed
+        # Version 1 is that reload of the old weights; the candidate's
+        # reload raised before it loaded anything.
+        assert deploy.model_version == 1
+        after = deploy.predict(None)
+        assert after.stale is False
+        assert np.array_equal(after.demand, before.demand)
+        assert np.array_equal(after.supply, before.supply)
         names = [e["name"] for e in read_events(events_path)]
         assert "continual.shadow_eval" in names
         assert "continual.rolled_back" in names
         assert "continual.promoted" not in names
     finally:
-        fleet.stop()
+        deploy.stop()
 
 
-def test_corrupt_candidate_never_reaches_the_fleet(trained, tmp_path):
+def test_corrupt_candidate_never_reaches_the_service(trained, tmp_path):
     dataset, artifacts = trained
-    learner, fleet, store, ckpt, snap = _learner(
-        dataset, artifacts, tmp_path, fleet=True
-    )
+    learner, deploy, store, ckpt, snap = _learner(dataset, artifacts, tmp_path)
     try:
         old_state = load_state(ckpt)
-        reloads_before = [r.model_version for r in fleet.replicas]
+        version_before = deploy.model_version
 
         def truncate(path):
             data = ckpt.read_bytes()
@@ -196,13 +198,41 @@ def test_corrupt_candidate_never_reaches_the_fleet(trained, tmp_path):
         with injected(plan):
             with pytest.raises(PromotionRolledBack, match="corrupt"):
                 learner.run_cycle()
-        # No replica ever saw the corrupt artifact: versions unchanged,
-        # and the restored checkpoint loads cleanly with the old weights.
-        assert [r.model_version for r in fleet.replicas] == reloads_before
-        assert fleet.quarantined == frozenset()
-        restored = load_state(ckpt)
-        for name in old_state:
-            assert np.array_equal(restored[name], old_state[name]), name
+        # The service never saw the corrupt artifact: no reload ran, and
+        # the restored checkpoint loads cleanly with the old weights.
+        assert deploy.model_version == version_before
+        assert not deploy.reload_failed
+        assert deploy.predict(None).stale is False
+        _assert_old_weights_on_disk(ckpt, old_state)
         load_training_snapshot(snap)  # snapshot untouched and readable
     finally:
-        fleet.stop()
+        deploy.stop()
+
+
+def test_non_finite_candidate_is_held_back(trained, tmp_path, monkeypatch):
+    dataset, artifacts = trained
+    learner, deploy, store, ckpt, snap = _learner(dataset, artifacts, tmp_path)
+    from repro.continual import loop
+
+    class PoisonedTrainer(Trainer):
+        def fit(self, *args, **kwargs):
+            history = super().fit(*args, **kwargs)
+            for param in self.model.parameters():
+                param.data[...] = np.nan
+            return history
+
+    def reload_spy(path=None):
+        raise AssertionError("a non-finite candidate reached reload")
+
+    monkeypatch.setattr(loop, "Trainer", PoisonedTrainer)
+    monkeypatch.setattr(deploy, "reload", reload_spy)
+    try:
+        before = _deployment_fingerprint(deploy, store, ckpt, snap)
+        result = learner.run_cycle()
+        assert not np.isfinite(result.candidate_rmse)
+        assert np.isfinite(result.live_rmse)
+        assert result.promoted is False
+        assert learner.promotions == 0
+        assert _deployment_fingerprint(deploy, store, ckpt, snap) == before
+    finally:
+        deploy.stop()

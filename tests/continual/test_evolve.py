@@ -1,8 +1,8 @@
 """Graph evolution: stations appear/disappear without a restart.
 
 Covers the remap rules (kept values copied verbatim, new rows from the
-deterministic donor init), flow-store surgery (pending inflow drained
-for removed stations, parity between single and sharded stores), and
+deterministic donor init), flow-store surgery (kept history moved,
+pending inflow drained for removed stations), and
 training-snapshot evolution (Adam moments follow their parameters;
 new-station moments start at zero).
 """
@@ -17,7 +17,6 @@ from repro.continual import (
     evolve_flow_store,
     evolve_model,
     evolve_registry,
-    evolve_sharded_store,
     evolve_training_snapshot,
 )
 from repro.core.model import STGNNDJD
@@ -25,7 +24,6 @@ from repro.core.persistence import training_fingerprint
 from repro.core.trainer import Trainer, TrainingConfig
 from repro.data.records import TripRecord
 from repro.data.synthetic import SyntheticCityConfig, generate_city
-from repro.serve.fleet.shard import ShardedFlowStore
 from repro.serve.state import FlowStateStore
 
 
@@ -125,24 +123,21 @@ class TestModelEvolution:
 
 
 class TestStoreEvolution:
-    def test_single_and_sharded_stores_stay_in_parity(self, city):
-        single = FlowStateStore.from_dataset(city, retained_slots=80)
-        fleet = ShardedFlowStore.from_dataset(
-            city, num_shards=3, retained_slots=80
-        )
+    def test_kept_history_moves_and_new_station_is_silent(self, city):
+        store = FlowStateStore.from_dataset(city, retained_slots=80)
         evolution = GraphEvolution(8, (0, 1, 3, 4, 6, 7), 1)
-        evolve_flow_store(single, evolution)
-        evolve_sharded_store(fleet, evolution)
-        f1, in1, out1 = single.history_window(slots=40)
-        f2, in2, out2 = fleet.history_window(slots=40)
-        assert f1 == f2
-        assert np.array_equal(in1, in2) and np.array_equal(out1, out2)
-        # Kept stations preserved their history; new station is silent.
+        evolve_flow_store(store, evolution)
+        first, inflow, outflow = store.history_window(slots=40)
         kept = np.array(evolution.kept)
+        window = slice(first, first + 40)
         assert np.array_equal(
-            in1[:, :6, :6], city.inflow[f1 : f1 + 40][:, kept][:, :, kept]
+            inflow[:, :6, :6], city.inflow[window][:, kept][:, :, kept]
         )
-        assert np.all(in1[:, 6, :] == 0) and np.all(in1[:, :, 6] == 0)
+        assert np.array_equal(
+            outflow[:, :6, :6], city.outflow[window][:, kept][:, :, kept]
+        )
+        assert np.all(inflow[:, 6, :] == 0) and np.all(inflow[:, :, 6] == 0)
+        assert np.all(outflow[:, 6, :] == 0) and np.all(outflow[:, :, 6] == 0)
 
     def test_pending_inflow_drained_for_removed_stations(self, city):
         store = FlowStateStore.from_dataset(city, retained_slots=80)
@@ -161,18 +156,15 @@ class TestStoreEvolution:
         assert inflow.sum() == 1.0
 
     def test_version_bumps_and_ingest_continues(self, city):
-        fleet = ShardedFlowStore.from_dataset(
-            city, num_shards=2, retained_slots=80
-        )
-        before = fleet.version
-        evolve_sharded_store(fleet, GraphEvolution.grow(8, 1))
-        assert fleet.version > before
-        assert fleet.coherent
-        slot_seconds = fleet.config.slot_seconds
-        t0 = fleet.frontier * slot_seconds
-        fleet.ingest(TripRecord(902, 8, 0, t0 + 1.0, t0 + 2.0))
-        fleet.advance_to(fleet.frontier + 1)
-        _, inflow, outflow = fleet.history_window(slots=1)
+        store = FlowStateStore.from_dataset(city, retained_slots=80)
+        before = store.version
+        evolve_flow_store(store, GraphEvolution.grow(8, 1))
+        assert store.version > before
+        slot_seconds = store.config.slot_seconds
+        t0 = store.frontier * slot_seconds
+        store.ingest(TripRecord(902, 8, 0, t0 + 1.0, t0 + 2.0))
+        store.advance_to(store.frontier + 1)
+        _, inflow, outflow = store.history_window(slots=1)
         assert outflow[0, 8, 0] == 1.0 and inflow[0, 0, 8] == 1.0
 
 

@@ -18,7 +18,6 @@ from repro.continual import (
     window_bounds,
 )
 from repro.data.synthetic import SyntheticCityConfig, generate_city
-from repro.serve.fleet.shard import ShardedFlowStore
 from repro.serve.state import FlowStateStore
 
 
@@ -29,11 +28,7 @@ def city():
     )
 
 
-def _store(city, sharded=False, retained=9 * 24):
-    if sharded:
-        return ShardedFlowStore.from_dataset(
-            city, num_shards=2, retained_slots=retained
-        )
+def _store(city, retained=9 * 24):
     return FlowStateStore.from_dataset(city, retained_slots=retained)
 
 
@@ -63,9 +58,8 @@ class TestWindowBounds:
 
 
 class TestExtractTrainingDataset:
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_tensors_match_source_dataset_bitwise(self, city, sharded):
-        store = _store(city, sharded=sharded)
+    def test_tensors_match_source_dataset_bitwise(self, city):
+        store = _store(city)
         dataset, start = extract_training_dataset(
             store, city.registry, train_days=7, holdback_slots=6,
             demand_normalizer=city.demand_normalizer,
@@ -104,9 +98,8 @@ class TestExtractTrainingDataset:
 
 
 class TestHoldbackSamples:
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_samples_match_dataset_windows_bitwise(self, city, sharded):
-        store = _store(city, sharded=sharded)
+    def test_samples_match_dataset_windows_bitwise(self, city):
+        store = _store(city)
         samples = holdback_samples(store, 6)
         assert len(samples) == 6
         assert [s.t for s in samples] == list(

@@ -3,7 +3,7 @@
 The continual loop trains on what ``history_window()`` hands it, so the
 window must be **bitwise** equal to :func:`build_flow_tensors` over the
 same trip log — dirty records, out-of-order delivery and in-transit
-trips included — for the single store and for every sharding degree.
+trips included.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro.data.flows import build_flow_tensors
 from repro.data.records import TripRecord
 from repro.serve import FlowStateConfig, FlowStateStore
-from repro.serve.fleet.shard import ShardedFlowStore
 
 SLOT = 1800.0  # 30-minute slots: slots_per_day = 48
 
@@ -45,7 +44,7 @@ def event_streams(draw):
     return num_stations, num_slots, trips, short_window, retained
 
 
-def _build_store(stream, num_shards):
+def _build_store(stream):
     num_stations, num_slots, trips, short_window, retained = stream
     config = FlowStateConfig(
         num_stations=num_stations,
@@ -54,12 +53,7 @@ def _build_store(stream, num_shards):
         long_days=1,
         retained_slots=retained,
     )
-    if num_shards == 1:
-        store = FlowStateStore(config)
-    else:
-        store = ShardedFlowStore(
-            config, num_shards=min(num_shards, num_stations)
-        )
+    store = FlowStateStore(config)
     for trip in trips:
         store.ingest(trip)
     store.advance_to(num_slots)
@@ -88,23 +82,18 @@ def _assert_window_parity(store, stream):
         assert np.array_equal(out2, batch_outflow[f2:end])
 
 
-@pytest.mark.parametrize("num_shards", [1, 2, 7])
 @given(stream=event_streams())
 @settings(max_examples=40, deadline=None)
-def test_history_window_matches_batch_bitwise(num_shards, stream):
-    store = _build_store(stream, num_shards)
+def test_history_window_matches_batch_bitwise(stream):
+    store = _build_store(stream)
     _assert_window_parity(store, stream)
 
 
-@pytest.mark.parametrize("num_shards", [1, 2, 7])
-def test_history_window_excludes_open_frontier(num_shards):
+def test_history_window_excludes_open_frontier():
     config = FlowStateConfig(
         num_stations=7, slot_seconds=SLOT, short_window=4, long_days=1
     )
-    if num_shards == 1:
-        store = FlowStateStore(config)
-    else:
-        store = ShardedFlowStore(config, num_shards=num_shards)
+    store = FlowStateStore(config)
     store.advance_to(5)
     # A trip in the open frontier slot must not appear in any window.
     store.ingest(TripRecord(0, 0, 1, 5 * SLOT + 1.0, 5 * SLOT + 2.0))

@@ -159,6 +159,27 @@ class TestIngestCrash:
         assert_batch_parity(store, [survivor, victim])
 
 
+class TestRolloverCrash:
+    def test_failed_rollover_leaves_the_store_unmoved(self):
+        # The seam fires before any ring row is zeroed or pending inflow
+        # folded, so a retried advance lands exactly where it would have.
+        store = make_store("drop")
+        applied = [trip(i, i % 3, duration_slots=2.5) for i in range(6)]
+        for record in applied:
+            store.ingest(record)
+        version = store.version
+        plan = FaultPlan(seed=0).on("state.rollover", at=1)
+        with injected(plan):
+            with pytest.raises(InjectedFault):
+                store.advance_to(store.frontier + 5)
+        assert plan.fired
+        assert (store.frontier, store.version) == (2, version)
+        assert_batch_parity(store, applied)
+        store.advance_to(store.frontier + 5)
+        assert store.frontier == 7
+        assert_batch_parity(store, applied)
+
+
 class StoreChaosMachine(RuleBasedStateMachine):
     """Interleave ingest, rollover and injected crashes; check parity.
 

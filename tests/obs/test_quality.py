@@ -278,3 +278,29 @@ class TestEvaluateSlos:
         drift = next(o for o in result["objectives"]
                      if o["name"] == "drift_ratio")
         assert drift["healthy"] is True
+
+    def test_prefix_selects_the_named_service(self):
+        # Two services sharing one registry (examples/continual_stream.py
+        # runs a live and a frozen one) are judged on their own traffic.
+        registry = Registry()
+        registry.enabled = True
+        for prefix, latency in (("serve.live", 2.0), ("serve.frozen", 0.001)):
+            registry.counter(f"{prefix}.requests").inc(10)
+            for _ in range(10):
+                registry.timer(f"{prefix}.request_seconds").observe(latency)
+        config = SLOConfig(p99_latency_seconds=0.25)
+        live = evaluate_slos(config, registry=registry, prefix="serve.live")
+        frozen = evaluate_slos(config, registry=registry, prefix="serve.frozen")
+        assert live["healthy"] is False
+        assert frozen["healthy"] is True
+
+    def test_default_prefix_is_the_single_service(self):
+        registry = Registry()
+        registry.enabled = True
+        registry.counter("serve.requests").inc(5)
+        for _ in range(5):
+            registry.timer("serve.request_seconds").observe(0.001)
+        result = evaluate_slos(registry=registry)
+        p99 = next(o for o in result["objectives"]
+                   if o["name"] == "p99_latency_seconds")
+        assert p99["value"] is not None

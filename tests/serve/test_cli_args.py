@@ -2,15 +2,13 @@
 
 Bad flag combinations must die at parse time via ``parser.error`` —
 SystemExit(2) with the offending flag named on stderr — instead of
-surfacing minutes later as a config ``__post_init__`` traceback or a
-wedged fleet. ``build_service`` picks the single-service or fleet tier
-from the same flags.
+surfacing minutes later as a config ``__post_init__`` traceback.
+``build_service`` builds the one prediction service from the same flags.
 """
 
 import pytest
 
 from repro.serve.__main__ import build_service, main
-from repro.serve.fleet import FleetRouter
 from repro.serve.service import PredictionService
 
 
@@ -21,25 +19,6 @@ def expect_flag_error(capsys, argv: list[str], fragment: str) -> None:
     stderr = capsys.readouterr().err
     assert fragment in stderr
     assert "Traceback" not in stderr
-
-
-class TestFleetFlagValidation:
-    def test_zero_replicas(self, capsys):
-        expect_flag_error(capsys, ["--replicas", "0"],
-                          "--replicas must be >= 1")
-
-    def test_negative_shards(self, capsys):
-        expect_flag_error(capsys, ["--shards", "-2"],
-                          "--shards must be >= 1")
-
-    def test_more_shards_than_stations(self, capsys):
-        # The deploy city has 12 stations; each shard needs at least one.
-        expect_flag_error(capsys, ["--shards", "13"],
-                          "exceeds the 12 stations")
-
-    def test_shards_checked_against_selected_city(self, capsys):
-        expect_flag_error(capsys, ["--city", "tiny", "--shards", "100"],
-                          "--city tiny")
 
 
 class TestServiceFlagValidation:
@@ -89,7 +68,7 @@ class TestBuildService:
 
         namespace = argparse.Namespace(
             host="127.0.0.1", port=0, checkpoint=None, city="tiny",
-            seed=13, replicas=1, shards=1, max_batch=64, batch_wait=0.002,
+            seed=13, max_batch=64, batch_wait=0.002,
             queue_depth=256, reload_poll=2.0, events=None,
             events_max_mb=64.0, trace=False, trace_sample=1.0,
             quality=False, quality_window=None, slo_p99=0.25,
@@ -100,18 +79,7 @@ class TestBuildService:
         _validate_args(argparse.ArgumentParser(), namespace)
         return namespace
 
-    def test_single_service_without_fleet_flags(self):
+    def test_builds_one_prediction_service(self):
         service = build_service(self._args())
         assert isinstance(service, PredictionService)
-
-    def test_fleet_router_when_sharded(self):
-        router = build_service(self._args("shards", 2, "replicas", 2))
-        assert isinstance(router, FleetRouter)
-        assert len(router.replicas) == 2
-        assert router.store.num_shards == 2
-
-    def test_replicas_alone_still_builds_a_fleet(self):
-        router = build_service(self._args("replicas", 3))
-        assert isinstance(router, FleetRouter)
-        assert len(router.replicas) == 3
-        assert router.store.num_shards == 1
+        assert service.store.config.num_stations == 8  # the tiny city

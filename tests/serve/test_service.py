@@ -189,6 +189,24 @@ class TestDispatcher:
         assert not errors
         assert len(done) == 1
 
+    def test_retry_after_jitter_is_seeded_by_service_name(
+        self, served_model, tiny_dataset
+    ):
+        # Services sharing a process draw from their own jitter streams,
+        # so their rejected clients do not retry in lockstep.
+        live, frozen = (
+            PredictionService.for_dataset(
+                served_model, tiny_dataset, config=ServiceConfig(name=name)
+            )
+            for name in ("serve.live", "serve.frozen")
+        )
+        hints_live = [live._next_retry_after() for _ in range(8)]
+        hints_frozen = [frozen._next_retry_after() for _ in range(8)]
+        assert hints_live != hints_frozen
+        base, jitter = live.config.retry_after_seconds, live.config.retry_jitter
+        for hint in hints_live + hints_frozen:
+            assert base <= hint <= base * (1.0 + jitter)
+
     def test_stop_fails_queued_requests(self, service):
         # Stopping is safe to call repeatedly and without starting.
         service.stop()

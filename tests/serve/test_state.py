@@ -151,6 +151,17 @@ class TestRollover:
         store.advance_to(1)
         assert store.version > before
 
+    def test_rollover_listener_fires_once_per_advance(self):
+        store = FlowStateStore(_config())
+        calls = []
+        store.add_rollover_listener(
+            lambda s, closed: calls.append((s.frontier, closed))
+        )
+        store.advance_to(3)
+        store.advance_to(3)  # no-op: nothing closed
+        store.ingest(_trip(0, 1, start_slot=5, end_slot=5))  # auto-advance
+        assert calls == [(3, range(0, 3)), (5, range(3, 5))]
+
 
 class TestSample:
     def test_requires_full_history(self):
