@@ -8,8 +8,8 @@ charts how the substrate behaves as the city grows to that size:
 * training-epoch latency (one full epoch over the train split);
 * a served ``/predict`` round trip through :class:`PredictionService`;
 * peak RSS via ``resource.getrusage`` — measured in a *fresh subprocess
-  per size* (the bench_training pattern), so each number is a true
-  high-water mark, not contaminated by previously benchmarked sizes.
+  per size*, so each number is a true high-water mark, not
+  contaminated by previously benchmarked sizes.
 
 Scaling gate (asserted by the parent): peak RSS at n=571 must stay below
 4x the n=300 peak. Every large term grows quadratically: the ``(T, n,

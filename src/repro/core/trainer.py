@@ -10,14 +10,6 @@ per-time-step graph program, so a "batch" is 32 prediction times whose
 per-sample gradients are averaged before one optimizer step. This is
 mathematically identical to batched training and keeps the autograd
 graphs small.
-
-Because the samples of a batch are independent, the gradient work is
-data-parallel: with ``TrainingConfig.workers > 0`` a persistent
-fork-based :class:`~repro.core.parallel.GradientWorkerPool` computes the
-per-sample gradients in worker processes and the parent reduces them in
-a fixed order before ``clip_grad_norm`` + ``step()`` (see
-``core/parallel.py`` for the serial-equivalence guarantee). ``workers=0``
-keeps the seed's serial loop.
 """
 
 from __future__ import annotations
@@ -31,7 +23,6 @@ import numpy as np
 
 from repro import backend
 from repro.core.model import STGNNDJD
-from repro.core.parallel import GradientWorkerPool
 from repro.core.persistence import (
     CheckpointSchemaError,
     TrainingSnapshot,
@@ -64,16 +55,6 @@ class TrainingConfig:
     max_batches_per_epoch: int | None = None  # subsample big epochs
     seed: int = 0
     verbose: bool = False
-    # Gradient workers per batch: 0 = serial loop, N >= 1 = a persistent
-    # fork-based pool of N processes (falls back to serial when fork is
-    # unavailable). See core/parallel.py for the determinism guarantee.
-    workers: int = 0
-    # Gradient transport for the worker pool: "shm" moves parameters and
-    # gradients through persistent shared-memory arenas with an
-    # epoch-granularity schedule, "pipe" is the legacy per-batch pickle
-    # protocol, and "auto" (default) picks shm where available with a
-    # graceful fallback to pipe. Ignored when workers == 0.
-    transport: str = "auto"
     # "joint" = the paper's Eq. 21 loss; "independent" = plain MSE on
     # demand + MSE on supply (the design-choice ablation in DESIGN.md).
     loss: str = "joint"
@@ -86,12 +67,9 @@ class TrainingConfig:
     # same config auto-resumes from the last completed epoch and — for
     # deterministic models (dropout == 0) — bitwise-continues the
     # uninterrupted run. resume=False ignores an existing snapshot and
-    # retrains from scratch. worker_reply_timeout_seconds bounds how
-    # long the parent waits for a gradient worker before declaring it
-    # hung and recovering its shard (None = wait forever).
+    # retrains from scratch.
     snapshot_path: str | None = None
     resume: bool = True
-    worker_reply_timeout_seconds: float | None = None
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -102,15 +80,6 @@ class TrainingConfig:
             raise ValueError("learning_rate must be positive")
         if self.loss not in ("joint", "independent"):
             raise ValueError(f"loss must be 'joint' or 'independent', got {self.loss!r}")
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.transport not in ("auto", "shm", "pipe"):
-            raise ValueError(
-                f"transport must be 'auto', 'shm' or 'pipe', got {self.transport!r}"
-            )
-        if (self.worker_reply_timeout_seconds is not None
-                and self.worker_reply_timeout_seconds <= 0):
-            raise ValueError("worker_reply_timeout_seconds must be positive")
 
 
 @dataclass(slots=True)
@@ -231,34 +200,19 @@ class Trainer:
                 self.config.snapshot_path, history
             )
 
-        # The recorder enables the metrics registry *before* the worker
-        # pool forks, so workers inherit the enabled flag copy-on-write
-        # and start accumulating their local counters immediately.
         recorder = None
         if self.config.metrics is not None:
             run_config = dataclasses.asdict(self.config)
             run_config["model"] = type(self.model).__name__
             recorder = RunRecorder(self.config.metrics, run_config=run_config)
 
-        pool = GradientWorkerPool.create(
-            self, self.config.workers,
-            reply_timeout=self.config.worker_reply_timeout_seconds,
-            transport=self.config.transport,
-        )
-        created_pool = pool
         try:
-            with trace_span("trainer.fit", epochs=epochs,
-                            workers=self.config.workers):
+            with trace_span("trainer.fit", epochs=epochs):
                 for epoch in range(start_epoch, epochs):
                     fault_point("trainer.epoch")
-                    if pool is not None and not pool.active:
-                        # The pool degraded mid-run (a worker died and could
-                        # not be respawned); finish the fit serially.
-                        pool.close()
-                        pool = None
                     with span("epoch", epoch=epoch), \
                             trace_span("trainer.epoch", epoch=epoch):
-                        epoch_loss = self._run_epoch(train_idx, pool)
+                        epoch_loss = self._run_epoch(train_idx)
                         val_loss = self.validation_loss(val_idx)
                     history.train_loss.append(epoch_loss)
                     history.val_loss.append(val_loss)
@@ -293,8 +247,6 @@ class Trainer:
                             best_val, bad_epochs,
                         )
         finally:
-            if pool is not None:
-                pool.close()
             if recorder is not None:
                 recorder.attach("buffer_pool", self._pool.stats())
                 recorder.attach(
@@ -302,19 +254,13 @@ class Trainer:
                     {"best_epoch": history.best_epoch,
                      "stopped_early": history.stopped_early},
                 )
-                if created_pool is not None:
-                    # Transport health: visible in the report CLI without
-                    # grepping the JSONL stream.
-                    recorder.attach("transport", created_pool.transport_summary())
                 recorder.finish()
 
         if self._best_state is not None:
             self.model.load_state_dict(self._best_state)
         return history
 
-    def _run_epoch(
-        self, train_idx: np.ndarray, pool: GradientWorkerPool | None = None
-    ) -> float:
+    def _run_epoch(self, train_idx: np.ndarray) -> float:
         self.model.train()
         order = self._rng.permutation(train_idx)
         batch_size = self.config.batch_size
@@ -328,37 +274,22 @@ class Trainer:
         start = time.perf_counter()
         total, count = 0.0, 0
         norm_sum, samples = 0.0, 0
-        # Announce the epoch's batch schedule up front: on the shm
-        # transport workers then walk their shard of every batch locally
-        # and the per-batch exchange is a tiny control message.
-        epoch_pool = pool
-        if epoch_pool is not None and epoch_pool.active:
-            epoch_pool.begin_epoch(batches)
-        try:
-            for k, batch in enumerate(batches):
-                with trace_span("trainer.batch", batch=k, size=len(batch)):
-                    fault_point("trainer.batch")
-                    self.optimizer.zero_grad()
-                    if pool is not None and not pool.active:
-                        pool = None  # degraded mid-epoch: finish serially
-                    if pool is not None:
-                        batch_loss = pool.accumulate_gradients(batch, 1.0 / len(batch))
-                    else:
-                        batch_loss = 0.0
-                        for t in batch:
-                            loss = self._sample_loss(int(t))
-                            # Average gradients over the batch: scale each sample's
-                            # upstream gradient by 1/batch instead of rescaling later.
-                            loss.backward(np.asarray(1.0 / len(batch)))
-                            batch_loss += loss.item()
-                    norm_sum += clip_grad_norm(self.optimizer.parameters, self.config.grad_clip)
-                    self.optimizer.step()
-                    total += batch_loss / len(batch)
-                    count += 1
-                    samples += len(batch)
-        finally:
-            if epoch_pool is not None:
-                epoch_pool.end_epoch()
+        for k, batch in enumerate(batches):
+            with trace_span("trainer.batch", batch=k, size=len(batch)):
+                fault_point("trainer.batch")
+                self.optimizer.zero_grad()
+                batch_loss = 0.0
+                for t in batch:
+                    loss = self._sample_loss(int(t))
+                    # Average gradients over the batch: scale each sample's
+                    # upstream gradient by 1/batch instead of rescaling later.
+                    loss.backward(np.asarray(1.0 / len(batch)))
+                    batch_loss += loss.item()
+                norm_sum += clip_grad_norm(self.optimizer.parameters, self.config.grad_clip)
+                self.optimizer.step()
+                total += batch_loss / len(batch)
+                count += 1
+                samples += len(batch)
         elapsed = time.perf_counter() - start
         self._epoch_stats = {
             "seconds": elapsed,
@@ -416,26 +347,42 @@ class Trainer:
         entry point; crash-resume of an interrupted fit should keep
         using ``snapshot_path``/``resume`` instead.
         """
+        self._load_optimization_state(snapshot, "training snapshot", "warm-start")
+        self._best_state = None
+        self._target_cache.clear()
+
+    def _load_optimization_state(
+        self, snapshot: TrainingSnapshot, source: str, action: str
+    ) -> None:
+        """Validate ``snapshot`` against this trainer, then load it.
+
+        Loads parameters, Adam moments/step count and the shuffling RNG.
+        Every check runs before the first write, so a rejected snapshot
+        (``CheckpointSchemaError``) leaves the trainer untouched.
+        ``source`` names the snapshot and ``action`` the refused
+        operation in the error message.
+        """
         expected = training_fingerprint(self.model)
         if snapshot.fingerprint != expected:
             raise CheckpointSchemaError(
-                f"training snapshot was written for {snapshot.fingerprint!r}, "
-                f"not {expected!r}; refusing to warm-start"
+                f"{source} was written for {snapshot.fingerprint!r}, "
+                f"not {expected!r}; refusing to {action}"
             )
         adam = self.optimizer
-        if len(snapshot.adam_m) != len(adam.parameters):
-            raise CheckpointSchemaError(
-                f"training snapshot carries {len(snapshot.adam_m)} optimizer "
-                f"moments for {len(adam.parameters)} parameters"
-            )
+        keys = {f"{i:04d}" for i in range(len(adam.parameters))}
+        for name, moments in (("adam_m", snapshot.adam_m), ("adam_v", snapshot.adam_v)):
+            if set(moments) != keys:
+                raise CheckpointSchemaError(
+                    f"{source} carries {len(moments)} optimizer moments "
+                    f"({name}) for {len(adam.parameters)} parameters; "
+                    f"refusing to {action}"
+                )
         self.model.load_state_dict(snapshot.model_state)
         adam._step_count = snapshot.adam_step_count
         for i in range(len(adam.parameters)):
             adam._m[i][...] = snapshot.adam_m[f"{i:04d}"]
             adam._v[i][...] = snapshot.adam_v[f"{i:04d}"]
         self._rng.bit_generator.state = snapshot.rng_state
-        self._best_state = None
-        self._target_cache.clear()
 
     def _save_snapshot(
         self,
@@ -465,24 +412,9 @@ class Trainer:
         """Load a snapshot into the live trainer; returns
         ``(start_epoch, best_val, bad_epochs)`` for the fit loop."""
         snapshot = load_training_snapshot(path)
-        expected = training_fingerprint(self.model)
-        if snapshot.fingerprint != expected:
-            raise CheckpointSchemaError(
-                f"training snapshot {path} was written for "
-                f"{snapshot.fingerprint!r}, not {expected!r}; refusing to resume"
-            )
-        self.model.load_state_dict(snapshot.model_state)
-        adam = self.optimizer
-        if len(snapshot.adam_m) != len(adam.parameters):
-            raise CheckpointSchemaError(
-                f"training snapshot {path} carries {len(snapshot.adam_m)} "
-                f"optimizer moments for {len(adam.parameters)} parameters"
-            )
-        adam._step_count = snapshot.adam_step_count
-        for i in range(len(adam.parameters)):
-            adam._m[i][...] = snapshot.adam_m[f"{i:04d}"]
-            adam._v[i][...] = snapshot.adam_v[f"{i:04d}"]
-        self._rng.bit_generator.state = snapshot.rng_state
+        self._load_optimization_state(
+            snapshot, f"training snapshot {path}", "resume"
+        )
         history.train_loss = list(snapshot.train_loss)
         history.val_loss = list(snapshot.val_loss)
         history.best_epoch = snapshot.best_epoch

@@ -13,12 +13,6 @@ Seams currently threaded through the codebase:
 ==============================  =================================================
 site                            where / what it models
 ==============================  =================================================
-``parallel.worker{i}.task``     worker ``i`` begins a shard (crash/hang/raise)
-``parallel.worker{i}.sample``   worker ``i`` mid-shard, one per sample
-``parallel.worker{i}.reply``    transform: poison a worker's result payload
-``parallel.shm.publish``        parent publishes parameters into the shm arena
-``parallel.worker{i}.shm.attach``  worker ``i`` maps its arena views (at fork)
-``parallel.worker{i}.shm.commit``  worker ``i`` between arena write and reply
 ``trainer.epoch``               start of each training epoch
 ``trainer.batch``               before each optimizer step (mid-epoch interrupt)
 ``serve.dispatch``              the dispatcher, per micro-batch (hang ⇒ overload)

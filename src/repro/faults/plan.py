@@ -1,7 +1,7 @@
 """Deterministic fault injection: plans, rules, and call-site seams.
 
 Production code marks its failure-prone seams with
-:func:`fault_point("site") <fault_point>` (crash/hang/raise injection)
+:func:`fault_point("site") <fault_point>` (hang/raise injection)
 and :func:`fault_transform("site", value) <fault_transform>` (value
 corruption). Both are inert until a :class:`FaultPlan` is armed: the
 disarmed cost is one module-global read and a ``None`` check per site —
@@ -11,9 +11,8 @@ measurable overhead.
 
 A plan is a list of :class:`FaultRule`\\ s scheduled *deterministically*:
 
-* **by call count** — ``plan.on("parallel.worker0.sample", at=3)`` fires
-  on exactly the third hit of that site (per process: a forked worker
-  inherits the armed plan copy-on-write and counts its own hits);
+* **by call count** — ``plan.on("trainer.batch", at=3)`` fires on
+  exactly the third hit of that site;
 * **periodically** — ``every=5`` fires on every fifth hit;
 * **probabilistically but seeded** — ``probability=0.1`` draws from a
   per-rule ``random.Random`` derived from ``FaultPlan(seed=...)``, so
@@ -28,10 +27,7 @@ Actions
 ``raise``
     Raise :class:`InjectedFault` (or a caller-supplied exception).
 ``hang``
-    Sleep ``hang_seconds`` — models a wedged worker or dispatcher.
-``crash``
-    ``os._exit(exit_code)`` — models a process dying mid-task; only
-    meaningful inside forked gradient workers.
+    Sleep ``hang_seconds`` — models a wedged dispatcher or a stalled step.
 ``call``
     Invoke a callback. At a :func:`fault_point` it receives the site
     name; at a :func:`fault_transform` it receives the value and its
@@ -39,9 +35,9 @@ Actions
 
 Example::
 
-    plan = FaultPlan(seed=0).on("parallel.worker0.sample", action="crash", at=2)
+    plan = FaultPlan(seed=0).on("trainer.batch", at=2)
     with injected(plan):
-        trainer.fit()          # worker 0 dies on its 2nd sample
+        trainer.fit()          # raises InjectedFault before the 2nd step
     assert plan.fired          # and the injection actually happened
 """
 
@@ -49,10 +45,9 @@ from __future__ import annotations
 
 import contextlib
 import fnmatch
-import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable, Iterator
 
@@ -69,7 +64,7 @@ __all__ = [
     "injected",
 ]
 
-_ACTIONS = ("raise", "hang", "crash", "call")
+_ACTIONS = ("raise", "hang", "call")
 
 
 class InjectedFault(RuntimeError):
@@ -86,7 +81,7 @@ class FaultRule:
     """One scheduled fault: where it matches, when it fires, what it does.
 
     ``site`` is an ``fnmatch`` pattern against seam names
-    (``"parallel.worker*.sample"`` matches every worker). Exactly one of
+    (``"continual.*"`` matches every continual-loop seam). Exactly one of
     ``at``/``every``/``probability`` schedules the rule; ``max_fires``
     bounds how often it can fire (default once for ``at``, unbounded
     otherwise).
@@ -100,7 +95,6 @@ class FaultRule:
     max_fires: int | None = None
     exception: BaseException | type[BaseException] | None = None
     hang_seconds: float = 0.05
-    exit_code: int = 17
     callback: Callable[..., Any] | None = None
 
     def __post_init__(self) -> None:
@@ -132,7 +126,6 @@ class FiredFault:
     call_index: int  # which hit of the site fired (1-based)
     rule_index: int  # index of the rule in FaultPlan.rules
     action: str
-    pid: int = field(default_factory=os.getpid)
 
 
 class FaultPlan:
@@ -164,7 +157,6 @@ class FaultPlan:
         max_fires: int | None = None,
         exception: BaseException | type[BaseException] | None = None,
         hang_seconds: float = 0.05,
-        exit_code: int = 17,
         callback: Callable[..., Any] | None = None,
     ) -> "FaultPlan":
         """Append a rule; chainable. ``at=3`` fires once, on the 3rd hit."""
@@ -181,7 +173,6 @@ class FaultPlan:
             max_fires=max_fires,
             exception=exception,
             hang_seconds=hang_seconds,
-            exit_code=exit_code,
             callback=callback,
         )
         index = len(self.rules)
@@ -229,8 +220,6 @@ class FaultPlan:
         if rule.action == "hang":
             time.sleep(rule.hang_seconds)
             return
-        if rule.action == "crash":
-            os._exit(rule.exit_code)
         rule.callback(site)
 
     def hit(self, site: str) -> None:

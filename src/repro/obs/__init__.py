@@ -7,18 +7,15 @@ pillars:
   fixed-bucket histograms accumulated in a process-global
   :func:`default_registry`. Disabled by default: instrumented call
   sites cost one branch until :func:`enable_metrics` (or a run
-  recorder) switches them on. Forked gradient workers
-  :meth:`~repro.obs.registry.Registry.drain` their local registry and
-  the parent :meth:`~repro.obs.registry.Registry.merge`\\ s the delta, so
-  parallel counters equal serial ones.
+  recorder) switches them on.
 * **tracing/profiling** (:mod:`repro.obs.spans`,
   :mod:`repro.obs.trace`, :mod:`repro.obs.profiler`) — nestable
   :func:`span` timings for run structure; distributed request tracing
-  (:func:`trace_span`, W3C ``traceparent`` propagation, fork-safe
-  worker span merge, ``python -m repro.obs.trace`` timeline
-  reconstruction); and :func:`profile` for per-op call counts / wall
-  time / bytes over the backend op registry, installed only for the
-  duration of the ``with`` block.
+  (:func:`trace_span`, W3C ``traceparent`` propagation,
+  ``python -m repro.obs.trace`` timeline reconstruction); and
+  :func:`profile` for per-op call counts / wall time / bytes over the
+  backend op registry, installed only for the duration of the ``with``
+  block.
 * **quality/SLOs** (:mod:`repro.obs.quality`, :mod:`repro.obs.slo`) —
   continuous forecast-quality monitoring (forecasts reconciled against
   realized flows, rolling RMSE/MAE that bit-match

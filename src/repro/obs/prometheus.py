@@ -23,7 +23,7 @@ from repro.obs.registry import Counter, Gauge, Histogram, Registry, default_regi
 _NAME_SANITIZER = re.compile(r"[^a-zA-Z0-9_:]")
 
 #: Help strings for the well-known metric families, longest prefix
-#: wins — per-horizon / per-worker series share one entry. Metrics
+#: wins — per-horizon series share one entry. Metrics
 #: outside the table still get a HELP line (scrapers and humans both
 #: expect one) with a generic description.
 _HELP_PREFIXES: tuple[tuple[str, str], ...] = (
@@ -40,10 +40,6 @@ _HELP_PREFIXES: tuple[tuple[str, str], ...] = (
     ("quality.drift", "Drift excursions past the configured threshold."),
     ("quality.reconciled_slots", "Forecasts reconciled against realized flows."),
     ("quality.unreconciled_slots", "Forecasts whose target slot left the ring unreconciled."),
-    ("parallel.reduce_overlap_ratio", "Fraction of the post-publish window spent reducing completed arenas."),
-    ("parallel.transport_fallback", "Shared-memory to pipe transport degradations."),
-    ("parallel.fallback", "Worker-pool to serial-loop degradations."),
-    ("parallel.", "Data-parallel gradient worker pool metric."),
     ("trainer.", "Training loop metric."),
     ("pool.", "Buffer pool reuse statistic."),
     ("obs.events_dropped", "Events destroyed by JSONL stream rotation."),

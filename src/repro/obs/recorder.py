@@ -49,9 +49,8 @@ class ObservabilityConfig:
     #: Rotate the event stream beyond this size (None = unbounded).
     events_max_bytes: int | None = None
     #: Also record trace spans for the run: the recorder enables
-    #: tracing *before* the worker pool forks (so workers inherit the
-    #: flag and ship their spans home with each reply) and restores the
-    #: previous state in :meth:`RunRecorder.finish`. Requires
+    #: tracing for the fit and restores the previous state in
+    #: :meth:`RunRecorder.finish`. Requires
     #: ``events`` — spans need a sink to land in.
     trace: bool = False
     #: Fraction of root traces recorded when ``trace`` is on.

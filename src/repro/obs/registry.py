@@ -9,18 +9,11 @@ it on the hot path. Three properties shape the design:
   (``inc``, ``set``, ``observe``) is gated on a single attribute read of
   the owning registry's ``enabled`` flag, so uninstrumented runs pay one
   predictable branch per call site and allocate nothing;
-* **process-safety under fork** — metrics are plain per-process Python
-  state, no locks or shared memory. Forked gradient workers accumulate
-  into their (copy-on-write) registry locally and ship a
-  :meth:`Registry.drain` snapshot back with each result; the parent
-  folds it in with :meth:`Registry.merge`, so worker-merged counters
-  equal their serial-run values exactly;
+* **plain per-process state** — metrics are ordinary Python objects,
+  no locks or shared memory;
 * **fixed histogram layouts** — bucket bounds are immutable per metric,
-  which is what makes merge well-defined (bucket-wise addition) and the
-  Prometheus exposition (:mod:`repro.obs.prometheus`) a direct dump.
-
-Merge semantics: counters and histograms add; gauges take the incoming
-value (last write wins), matching their "most recent observation" role.
+  which keeps the Prometheus exposition (:mod:`repro.obs.prometheus`)
+  a direct dump.
 """
 
 from __future__ import annotations
@@ -71,7 +64,7 @@ class Counter:
 
 
 class Gauge:
-    """Last-observed value (worker utilisation, pool occupancy, LR)."""
+    """Last-observed value (pool occupancy, LR)."""
 
     __slots__ = ("name", "value", "_registry")
     kind = "gauge"
@@ -100,8 +93,8 @@ class Histogram:
 
     ``bounds`` are inclusive upper bucket edges; one implicit overflow
     bucket (``+Inf``) catches everything beyond the last edge. The
-    layout is frozen at construction so two histograms of the same
-    metric always merge bucket-for-bucket.
+    layout is frozen at construction, so the exposition's buckets never
+    change under a scraper.
     """
 
     __slots__ = ("name", "bounds", "bucket_counts", "count", "sum", "min", "max",
@@ -230,7 +223,7 @@ class Registry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    # -- fork-safe accumulation -----------------------------------------
+    # -- bulk access ----------------------------------------------------
     def snapshot(self) -> dict[str, dict]:
         """Plain-data view of every metric (JSON-serialisable)."""
         return {name: metric.snapshot() for name, metric in self._metrics.items()}
@@ -239,39 +232,6 @@ class Registry:
         """Zero every metric in place (objects stay valid)."""
         for metric in self._metrics.values():
             metric.reset()
-
-    def drain(self) -> dict[str, dict]:
-        """Snapshot then reset: the delta a forked worker ships home."""
-        snap = self.snapshot()
-        self.reset()
-        return snap
-
-    def merge(self, snapshot: dict[str, dict]) -> None:
-        """Fold a :meth:`snapshot`/:meth:`drain` payload into this registry.
-
-        Counters and histograms add; gauges take the incoming value.
-        Metrics absent here are created, so a parent can merge a worker's
-        registry wholesale. Merging ignores the ``enabled`` flag — the
-        values were already paid for in the process that recorded them.
-        """
-        for name, data in snapshot.items():
-            kind = data["kind"]
-            if kind == "counter":
-                self.counter(name).value += data["value"]
-            elif kind == "gauge":
-                self.gauge(name).value = data["value"]
-            elif kind == "histogram":
-                hist = self.histogram(name, bounds=tuple(data["bounds"]))
-                for i, n in enumerate(data["bucket_counts"]):
-                    hist.bucket_counts[i] += n
-                hist.count += data["count"]
-                hist.sum += data["sum"]
-                if data["min"] is not None and data["min"] < hist.min:
-                    hist.min = data["min"]
-                if data["max"] is not None and data["max"] > hist.max:
-                    hist.max = data["max"]
-            else:
-                raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"

@@ -130,29 +130,6 @@ def render_report(report: RunReport) -> str:
                      f"{ops['total_seconds']:.4f}s, "
                      f"fused coverage {ops['fused_coverage'] * 100:.1f}%")
 
-    transport = report.extra.get("transport")
-    if transport:
-        phases = transport.get("phase_seconds", {})
-        phase_text = ", ".join(f"{k}={v:.3f}s" for k, v in phases.items())
-        state = " (degraded to serial)" if transport.get("degraded") else ""
-        lines.append("")
-        lines.append(
-            f"transport: {transport.get('transport', '?')} "
-            f"x{transport.get('workers', '?')} workers{state}, "
-            f"reduce/compute overlap "
-            f"{transport.get('overlap_ratio', 0.0) * 100:.1f}%"
-        )
-        if phase_text:
-            lines.append(f"  phases: {phase_text}")
-        fallbacks = {
-            name: data["value"]
-            for name, data in report.metrics.items()
-            if name in ("parallel.transport_fallback", "parallel.fallback")
-            and data.get("value")
-        }
-        if fallbacks:
-            lines.append("  fallbacks: "
-                         + ", ".join(f"{k}={v:g}" for k, v in fallbacks.items()))
     return "\n".join(lines)
 
 
@@ -171,22 +148,6 @@ def summarize_events(events: list[dict]) -> str:
             lines.append(f"{data.get('epoch', '?'):>5} "
                          f"{data.get('train_loss', float('nan')):>10.5f} "
                          f"{data.get('val_loss', float('nan')):>10.5f}")
-    phase_events = [e for e in events if e["name"] == "parallel.epoch_phases"]
-    if phase_events:
-        ratios = [e["data"].get("overlap_ratio", 0.0) for e in phase_events]
-        lines.append(
-            f"parallel: {len(phase_events)} epochs on "
-            f"{phase_events[-1]['data'].get('transport', '?')} transport, "
-            f"reduce/compute overlap mean "
-            f"{sum(ratios) / len(ratios) * 100:.1f}%"
-        )
-    fallback_events = [
-        e for e in events
-        if e["name"] in ("parallel.fallback", "parallel.transport_fallback")
-    ]
-    for event in fallback_events:
-        lines.append(f"fallback: {event['name']} "
-                     f"({event['data'].get('reason', '?')})")
     drift_events = [e for e in events if e["name"] == "quality.drift"]
     for event in drift_events:
         lines.append(

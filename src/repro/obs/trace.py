@@ -19,11 +19,7 @@ Design points, in the same spirit as the metrics registry:
   per call site and allocate nothing.
 * **Deterministic IDs.** Trace/span ids come from a seeded
   ``blake2b(seed:counter)`` stream (:func:`seed_trace_ids`), so tests
-  and replays get stable ids. Forked workers **must** re-seed (their
-  counter is a copy-on-write clone of the parent's and would collide);
-  :func:`begin_worker_spans` does that and switches the worker to a
-  local span buffer which the parent drains and emits with the reply —
-  the span analogue of the registry's ``drain()``/``merge()``.
+  and replays get stable ids.
 * **W3C-style propagation.** :func:`format_traceparent` /
   :func:`parse_traceparent` speak the ``traceparent`` header format
   (``00-<trace-id>-<span-id>-<flags>``); a malformed or missing header
@@ -185,7 +181,7 @@ _ID_COUNTER = 0
 
 
 def seed_trace_ids(seed: int) -> None:
-    """Pin the id stream (tests, replays, forked workers)."""
+    """Pin the id stream (tests, replays)."""
     global _ID_SEED, _ID_COUNTER
     _ID_SEED = int(seed)
     _ID_COUNTER = 0
@@ -223,70 +219,16 @@ def _sampled(trace_id: str, rate: float) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Current context + span buffering (fork workers)
+# Current context
 # ----------------------------------------------------------------------
 _CURRENT: contextvars.ContextVar[TraceContext | None] = contextvars.ContextVar(
     "repro_trace_context", default=None
 )
 
-#: Non-None in forked workers: spans land here instead of the inherited
-#: JSONL sink (whose fd is shared with the parent) and ship home with
-#: the worker's reply, where the parent emits them.
-_SPAN_BUFFER: list[dict] | None = None
-
 
 def current_context() -> TraceContext | None:
     """The innermost active span's context (follows contextvars)."""
     return _CURRENT.get()
-
-
-def begin_worker_spans(seed: int) -> None:
-    """Enter fork-worker mode: buffer spans locally, re-seed the ids.
-
-    Must run first thing in a forked worker — the child inherits the
-    parent's id counter (ids would collide) and the parent's open span
-    context (worker spans would mis-parent).
-    """
-    global _SPAN_BUFFER
-    _SPAN_BUFFER = []
-    seed_trace_ids(seed)
-    _CURRENT.set(None)
-
-
-def drain_spans() -> list[dict] | None:
-    """Take the worker's buffered spans (None outside worker mode)."""
-    global _SPAN_BUFFER
-    if _SPAN_BUFFER is None:
-        return None
-    spans, _SPAN_BUFFER = _SPAN_BUFFER, []
-    return spans or None
-
-
-def end_worker_spans() -> None:
-    """Leave fork-worker mode, dropping any buffered spans.
-
-    Real workers never call this — they exit with the process — but a
-    test that entered worker mode in-process must restore direct span
-    emission for everything that runs after it.
-    """
-    global _SPAN_BUFFER
-    _SPAN_BUFFER = None
-
-
-def discard_spans() -> None:
-    """Drop the worker's buffered spans (failed/rejected task)."""
-    if _SPAN_BUFFER is not None:
-        _SPAN_BUFFER.clear()
-
-
-def emit_spans(spans: list[dict] | None) -> None:
-    """Parent-side: emit spans drained from a worker's reply."""
-    if not spans:
-        return
-    for record in spans:
-        data = dict(record)
-        name = data.pop("name")
-        emit_event("span", name, **data)
 
 
 def _record(name: str, ctx: TraceContext, parent_span_id: str | None,
@@ -303,9 +245,6 @@ def _record(name: str, ctx: TraceContext, parent_span_id: str | None,
         data["links"] = [[link.trace_id, link.span_id] for link in links]
     if attrs:
         data["attrs"] = attrs
-    if _SPAN_BUFFER is not None:
-        _SPAN_BUFFER.append({"name": name, **data})
-        return
     emit_event("span", name, **data)
 
 

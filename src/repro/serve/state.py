@@ -278,7 +278,7 @@ class FlowStateStore:
         # Chaos seams: "state.clock" lets a plan skew this event's
         # timestamps in flight (modelling feed clock drift); the skewed
         # times then flow through the exact same validation and late
-        # policy as real ones. "state.ingest" can crash/raise per event.
+        # policy as real ones. "state.ingest" can raise or hang per event.
         fault_point("state.ingest")
         start_time, end_time = fault_transform(
             "state.clock", (start_time, end_time)

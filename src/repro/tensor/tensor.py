@@ -256,34 +256,6 @@ class Tensor:
         else:
             self.grad += grad
 
-    def attach_grad_buffer(self, buffer: np.ndarray) -> None:
-        """Make ``buffer`` the persistent gradient-accumulation target.
-
-        The next backward pass after :meth:`zero_grad` writes its first
-        leaf contribution straight into ``buffer`` (see
-        :meth:`_accumulate`), and further contributions add in place —
-        so gradients accumulate directly into externally owned memory.
-        The shared-memory gradient transport (``core/parallel.py``)
-        attaches a worker's arena view here, making the worker's whole
-        backward pass zero-copy: no gradient ever exists outside the
-        arena the parent reduces from.
-
-        ``buffer`` must match this tensor's shape and dtype exactly and
-        be writable and C-contiguous — ``_accumulate`` silently replaces
-        mismatched buffers with a fresh allocation, which would break
-        the external aliasing contract, so mismatches are rejected here
-        instead.
-        """
-        if buffer.shape != self.data.shape or buffer.dtype != self.data.dtype:
-            raise ValueError(
-                f"grad buffer mismatch: buffer is {buffer.dtype}{buffer.shape}, "
-                f"tensor is {self.data.dtype}{self.data.shape}"
-            )
-        if not buffer.flags.writeable or not buffer.flags.c_contiguous:
-            raise ValueError("grad buffer must be writable and C-contiguous")
-        self.grad = None
-        self._grad_buffer = buffer
-
     def zero_grad(self) -> None:
         """Reset the accumulated gradient (the grad buffer is retained)."""
         self.grad = None

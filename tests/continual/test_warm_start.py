@@ -4,36 +4,29 @@ The continual loop's retrain stage is ``Trainer.warm_start(snapshot)``
 followed by a short ``fit``. This pins the contract it relies on: one
 epoch warm-started from an uninterrupted run's epoch-``e`` snapshot
 produces *bitwise* the parameters, Adam moments and RNG state of that
-run's epoch ``e + 1`` — serially and over both gradient transports.
+run's epoch ``e + 1``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.model import STGNNDJD
-from repro.core.parallel import fork_available
 from repro.core.persistence import (
     CheckpointSchemaError,
     load_training_snapshot,
 )
 from repro.core.trainer import Trainer, TrainingConfig
 
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="fork start method unavailable"
-)
-
 MODEL_KWARGS = dict(fcg_layers=1, pcg_layers=1, num_heads=2, dropout=0.0)
 
 
-def _trainer(dataset, snapshot_path, *, workers=0, transport="auto"):
+def _trainer(dataset, snapshot_path):
     model = STGNNDJD.from_dataset(dataset, seed=3, **MODEL_KWARGS)
     config = TrainingConfig(
         epochs=3,
         batch_size=16,
         seed=11,
         patience=100,  # no early stopping: every epoch must run
-        workers=workers,
-        transport=transport,
         snapshot_path=None if snapshot_path is None else str(snapshot_path),
         resume=False,
     )
@@ -51,42 +44,24 @@ def _assert_snapshots_bitwise_equal(a, b):
     assert a.rng_state == b.rng_state
 
 
-@pytest.mark.parametrize(
-    "workers,transport",
-    [
-        (0, "auto"),
-        pytest.param(2, "shm", marks=needs_fork),
-        pytest.param(2, "pipe", marks=needs_fork),
-    ],
-)
-def test_warm_started_epoch_bitmatches_uninterrupted_fit(
-    mini_dataset, tmp_path, workers, transport
-):
+def test_warm_started_epoch_bitmatches_uninterrupted_fit(mini_dataset, tmp_path):
     # Uninterrupted reference: 3 epochs, snapshotting each boundary.
     # After fit() the snapshot file holds the epoch-2 boundary state.
-    full = _trainer(
-        mini_dataset, tmp_path / "full.npz",
-        workers=workers, transport=transport,
-    )
+    full = _trainer(mini_dataset, tmp_path / "full.npz")
     full.fit(3)
     reference = load_training_snapshot(tmp_path / "full.npz")
     assert reference.epoch == 2
 
     # Identical prefix run stopped after 2 epochs: its snapshot is the
     # epoch-1 boundary the continual loop would warm-start from.
-    prefix = _trainer(
-        mini_dataset, tmp_path / "prefix.npz",
-        workers=workers, transport=transport,
-    )
+    prefix = _trainer(mini_dataset, tmp_path / "prefix.npz")
     prefix.fit(2)
     boundary = load_training_snapshot(tmp_path / "prefix.npz")
     assert boundary.epoch == 1
 
     # Warm start a *fresh* trainer (new model init, new optimizer, new
     # RNG) from the boundary and run one incremental epoch.
-    warm = _trainer(
-        mini_dataset, None, workers=workers, transport=transport,
-    )
+    warm = _trainer(mini_dataset, None)
     warm.warm_start(boundary)
     warm.fit(1)
     _assert_snapshots_bitwise_equal(warm.capture_snapshot(), reference)

@@ -16,8 +16,12 @@ import numpy as np
 import pytest
 
 from repro.core.model import STGNNDJD
-from repro.core.parallel import fork_available
-from repro.core.persistence import CheckpointCorruptError, CheckpointSchemaError
+from repro.core.persistence import (
+    CheckpointCorruptError,
+    CheckpointSchemaError,
+    load_training_snapshot,
+    save_training_snapshot,
+)
 from repro.core.trainer import Trainer, TrainingConfig
 from repro.faults import FaultPlan, InjectedFault, injected
 
@@ -25,14 +29,14 @@ EPOCHS = 3
 
 
 def make_trainer(
-    dataset, snapshot_path=None, resume=True, workers=0, **model_kwargs
+    dataset, snapshot_path=None, resume=True, **model_kwargs
 ) -> Trainer:
     defaults = dict(fcg_layers=1, pcg_layers=1, num_heads=2, dropout=0.0)
     defaults.update(model_kwargs)
     model = STGNNDJD.from_dataset(dataset, seed=3, **defaults)
     config = TrainingConfig(
         epochs=EPOCHS, batch_size=8, seed=5, patience=10,
-        snapshot_path=snapshot_path, resume=resume, workers=workers,
+        snapshot_path=snapshot_path, resume=resume,
     )
     return Trainer(model, dataset, config)
 
@@ -110,51 +114,6 @@ class TestInterruptResume:
         assert snap.exists()
 
 
-@pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-class TestParallelResume:
-    """Snapshot + resume with the shared-memory worker pool active.
-
-    The pool's epoch-granularity schedule lives entirely inside one
-    ``_run_epoch`` call, and snapshots are epoch-boundary — so a
-    mid-epoch interrupt must replay the whole epoch on resume, shards
-    and all, and land bitwise on an uninterrupted ``workers=2`` run
-    (the bitwise reference is the same worker count: worker runs match
-    serial to 1e-9, not bitwise, by float64 summation reordering).
-    """
-
-    def test_mid_epoch_interrupt_with_shm_shards_resumes_bitwise(
-        self, mini_dataset, tmp_path
-    ):
-        baseline_trainer = make_trainer(mini_dataset, workers=2)
-        base_history = baseline_trainer.fit()
-        base_state = baseline_trainer.model.state_dict()
-
-        train_idx = mini_dataset.split_indices()[0]
-        batches_per_epoch = int(np.ceil(len(train_idx) / 8))
-        snap = str(tmp_path / "snap.npz")
-        plan = FaultPlan(seed=0).on("trainer.batch", at=batches_per_epoch + 2)
-        before = set(os.listdir("/dev/shm"))
-        injured = make_trainer(mini_dataset, snapshot_path=snap, workers=2)
-        with injected(plan):
-            with pytest.raises(InjectedFault):
-                injured.fit()
-        # The interrupt tore down the pool: no arena leaked.
-        leaked = {
-            name for name in set(os.listdir("/dev/shm")) - before
-            if name.startswith("psm_")
-        }
-        assert leaked == set()
-        assert os.path.exists(snap)
-
-        resumed = make_trainer(mini_dataset, snapshot_path=snap, workers=2)
-        history = resumed.fit()
-        assert history.train_loss == base_history.train_loss  # bitwise
-        assert history.val_loss == base_history.val_loss
-        state = resumed.model.state_dict()
-        for name in base_state:
-            np.testing.assert_array_equal(state[name], base_state[name])
-
-
 class TestResumeSafety:
     def test_fingerprint_mismatch_refuses_to_resume(self, mini_dataset, tmp_path):
         snap = str(tmp_path / "snap.npz")
@@ -162,6 +121,32 @@ class TestResumeSafety:
         other = make_trainer(mini_dataset, snapshot_path=snap, num_heads=1)
         with pytest.raises(CheckpointSchemaError, match="refusing to resume"):
             other.fit()
+
+    @pytest.mark.parametrize("entry", ["resume", "warm_start"])
+    @pytest.mark.parametrize("moments", ["adam_m", "adam_v"])
+    def test_short_moments_are_rejected_before_any_state_changes(
+        self, mini_dataset, tmp_path, moments, entry
+    ):
+        snap = str(tmp_path / "snap.npz")
+        make_trainer(mini_dataset, snapshot_path=snap).fit(1)
+        snapshot = load_training_snapshot(snap)
+        assert snapshot.adam_step_count > 0
+        short = dict(getattr(snapshot, moments))
+        short.pop(max(short))
+        setattr(snapshot, moments, short)
+        save_training_snapshot(snap, snapshot)
+
+        victim = make_trainer(mini_dataset, snapshot_path=snap)
+        before = victim.model.state_dict()
+        with pytest.raises(CheckpointSchemaError, match="optimizer moments"):
+            if entry == "resume":
+                victim.fit()
+            else:
+                victim.warm_start(load_training_snapshot(snap))
+        assert victim.optimizer._step_count == 0
+        after = victim.model.state_dict()
+        for name in before:
+            np.testing.assert_array_equal(after[name], before[name])
 
     def test_corrupt_snapshot_fails_loudly(self, mini_dataset, tmp_path):
         snap = tmp_path / "snap.npz"

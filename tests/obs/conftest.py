@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import default_registry, enable_metrics, enable_tracing, set_sink
-from repro.obs.trace import end_worker_spans
 
 
 @pytest.fixture(autouse=True)
@@ -16,10 +15,8 @@ def clean_telemetry():
     registry.reset()
     prev_sink = set_sink(None)
     prev_trace = enable_tracing(False)
-    end_worker_spans()
     yield registry
     enable_metrics(previous)
     registry.reset()
     set_sink(prev_sink)
     enable_tracing(prev_trace if prev_trace is not None else False)
-    end_worker_spans()

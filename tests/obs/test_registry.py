@@ -1,4 +1,4 @@
-"""Metrics registry: semantics, disabled no-op, snapshot/merge/drain."""
+"""Metrics registry: semantics, disabled no-op, snapshot."""
 
 from __future__ import annotations
 
@@ -109,62 +109,12 @@ class TestDisabled:
         assert not metrics_enabled()
 
 
-class TestSnapshotMerge:
-    def test_merge_adds_counters_and_histograms(self):
-        a, b = enabled_registry(), enabled_registry()
-        for reg, n in ((a, 2), (b, 3)):
-            for _ in range(n):
-                reg.counter("samples").inc()
-                reg.histogram("h", bounds=(1.0,)).observe(0.5)
-        a.merge(b.snapshot())
-        assert a.counter("samples").value == 5
-        hist = a.histogram("h", bounds=(1.0,))
-        assert hist.count == 5
-        assert hist.bucket_counts == [5, 0]
-        assert hist.min == 0.5 and hist.max == 0.5
-
-    def test_merge_creates_missing_metrics(self):
-        a, b = enabled_registry(), enabled_registry()
-        b.counter("only.in.b").inc(4)
-        a.merge(b.snapshot())
-        assert a.counter("only.in.b").value == 4
-
-    def test_merge_gauge_takes_incoming(self):
-        a, b = enabled_registry(), enabled_registry()
-        a.gauge("g").set(1)
-        b.gauge("g").set(2)
-        a.merge(b.snapshot())
-        assert a.gauge("g").value == 2
-
-    def test_drain_resets(self):
-        reg = enabled_registry()
-        reg.counter("c").inc(7)
-        delta = reg.drain()
-        assert delta["c"]["value"] == 7
-        assert reg.counter("c").value == 0
-        assert reg.drain()["c"]["value"] == 0
-
+class TestSnapshot:
     def test_empty_histogram_min_max_none(self):
         reg = enabled_registry()
         reg.histogram("h")
         snap = reg.snapshot()["h"]
         assert snap["min"] is None and snap["max"] is None
-
-    def test_worker_delta_protocol_equals_serial(self):
-        """The fork-merge contract, in miniature: local drains summed in
-        the parent equal one process doing all the work."""
-        serial = enabled_registry()
-        for _ in range(10):
-            serial.counter("samples").inc()
-
-        parent = enabled_registry()
-        workers = [enabled_registry() for _ in range(3)]
-        shards = (4, 3, 3)
-        for worker, shard in zip(workers, shards):
-            for _ in range(shard):
-                worker.counter("samples").inc()
-            parent.merge(worker.drain())
-        assert parent.counter("samples").value == serial.counter("samples").value
 
 
 class TestPrometheus:

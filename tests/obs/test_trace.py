@@ -10,13 +10,8 @@ from repro.obs.trace import (
     NULL_SPAN,
     TraceConfig,
     TraceContext,
-    begin_worker_spans,
     current_context,
-    discard_spans,
-    drain_spans,
-    emit_spans,
     enable_tracing,
-    end_worker_spans,
     format_traceparent,
     group_traces,
     main as trace_main,
@@ -38,12 +33,10 @@ VALID = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 
 @pytest.fixture(autouse=True)
 def tracing_off():
-    """Every test starts from tracing-disabled, worker mode cleared."""
+    """Every test starts from tracing-disabled."""
     previous = enable_tracing(False)
-    end_worker_spans()
     yield
     enable_tracing(previous if previous is not None else False)
-    end_worker_spans()
 
 
 class TestTraceparent:
@@ -181,44 +174,6 @@ class TestSpans:
             status = trace_status()
             assert status["sample_rate"] == 0.5
             assert status["profile_ops"] is False
-
-
-class TestWorkerSpanBuffer:
-    def test_spans_buffer_then_emit_in_parent(self, tmp_path):
-        sink = JsonlExporter(tmp_path / "t.jsonl")
-        set_sink(sink)
-        parent = TraceContext("ab" * 16, "cd" * 8, True)
-        with trace_scope(TraceConfig()):
-            begin_worker_spans(seed=7)
-            assert current_context() is None  # inherited context cleared
-            with trace_span("work", parent=parent):
-                pass
-            spans = drain_spans()
-            assert len(spans) == 1
-            assert drain_spans() is None  # buffer swapped out, now empty
-            # nothing hit the sink while buffered
-            sink._file.flush()
-            assert trace_spans(read_events(sink.path)) == []
-            emit_spans(spans)
-        sink.close()
-        [span] = trace_spans(read_events(sink.path))
-        assert span["name"] == "work"
-        assert span["data"]["parent_span_id"] == parent.span_id
-
-    def test_discard_drops_buffered_spans(self):
-        with trace_scope(TraceConfig()):
-            begin_worker_spans(seed=8)
-            with trace_span("doomed", parent=TraceContext("ab" * 16, "cd" * 8)):
-                pass
-            discard_spans()
-            assert drain_spans() is None
-
-    def test_reseeded_ids_diverge_between_workers(self):
-        begin_worker_spans(seed=1)
-        id_a = new_span_id()
-        begin_worker_spans(seed=2)
-        assert new_span_id() != id_a
-        drain_spans()
 
 
 class TestCli:

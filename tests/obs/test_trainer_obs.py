@@ -1,12 +1,10 @@
-"""Trainer/parallel/serving integration with the observability layer."""
+"""Trainer/serving integration with the observability layer."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import STGNNDJD, Trainer, TrainingConfig
-from repro.core.parallel import fork_available
 from repro.obs import (
     ObservabilityConfig,
     RunReport,
@@ -14,16 +12,18 @@ from repro.obs import (
     enable_metrics,
     read_events,
 )
+from repro.obs.trace import trace_spans
 
 
-def fit_instrumented(dataset, tmp_path, run_id: str, workers: int = 0,
-                     epochs: int = 2):
+def fit_instrumented(dataset, tmp_path, run_id: str, epochs: int = 2,
+                     trace: bool = False, **config_kwargs):
     model = STGNNDJD.from_dataset(dataset, seed=3)
     config = TrainingConfig(
         epochs=epochs,
         seed=0,
-        workers=workers,
-        metrics=ObservabilityConfig(out_dir=str(tmp_path), run_id=run_id),
+        metrics=ObservabilityConfig(out_dir=str(tmp_path), run_id=run_id,
+                                    trace=trace),
+        **config_kwargs,
     )
     history = Trainer(model, dataset, config).fit()
     report = RunReport.load(tmp_path / f"{run_id}.report.json")
@@ -82,26 +82,34 @@ class TestInstrumentedTraining:
         assert active_sink() is None
 
 
-@pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-class TestWorkerMergedMetrics:
-    def test_worker_counters_equal_serial(self, mini_dataset, tmp_path):
-        registry = default_registry()
-        _, serial_report, _ = fit_instrumented(mini_dataset, tmp_path, "serial")
-        registry.reset()
-        _, worker_report, _ = fit_instrumented(
-            mini_dataset, tmp_path, "workers", workers=2
+class TestTracedTraining:
+    def test_fit_epoch_and_batch_spans_form_one_trace(self, mini_dataset, tmp_path):
+        _, _, events = fit_instrumented(
+            mini_dataset, tmp_path, "traced", batch_size=8, trace=True
         )
+        spans = trace_spans(events)
+        by_name: dict[str, list[dict]] = {}
+        for span in spans:
+            by_name.setdefault(span["name"], []).append(span["data"])
 
-        serial_samples = serial_report.metrics["trainer.samples"]["value"]
-        worker_samples = worker_report.metrics["trainer.samples"]["value"]
-        assert serial_samples > 0
-        assert worker_samples == serial_samples
+        [fit] = by_name["trainer.fit"]
+        epochs = by_name["trainer.epoch"]
+        assert len(epochs) == 2
+        assert all(e["parent_span_id"] == fit["span_id"] for e in epochs)
 
-        # Worker-only telemetry shows up through the merge.
-        assert worker_report.metrics["parallel.worker_tasks"]["value"] > 0
-        assert worker_report.metrics["parallel.worker_busy_seconds"]["value"] > 0
-        assert worker_report.metrics["parallel.batches"]["value"] > 0
-        assert worker_report.metrics["parallel.reduce_seconds"]["count"] > 0
+        batches = by_name["trainer.batch"]
+        train_idx = mini_dataset.split_indices()[0]
+        assert len(batches) == 2 * int(np.ceil(len(train_idx) / 8))
+        for epoch in epochs:
+            children = [b for b in batches
+                        if b["parent_span_id"] == epoch["span_id"]]
+            assert len(children) == len(batches) // 2
+        assert sum(b["attrs"]["size"] for b in batches) == 2 * len(train_idx)
+
+        # one trace end to end, every span id minted exactly once
+        assert {s["data"]["trace_id"] for s in spans} == {fit["trace_id"]}
+        span_ids = [s["data"]["span_id"] for s in spans]
+        assert len(span_ids) == len(set(span_ids))
 
 
 class TestServingTelemetry:
