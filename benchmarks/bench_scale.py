@@ -6,18 +6,23 @@ charts how the substrate behaves as the city grows to that size:
 
 * forward latency (inference mode, warm, median over repeats);
 * training-epoch latency (one full epoch over the train split);
-* a served ``/predict`` round trip through :class:`PredictionService`;
+* a served ``/predict`` round trip through :class:`PredictionService`,
+  checked **bitwise** against the offline forward ``model(dataset.sample(t))``
+  at the same frontier ``t`` — the store and the dataset must build the
+  same canonical sparse windows (DESIGN "Sparse flow windows");
 * peak RSS via ``resource.getrusage`` — measured in a *fresh subprocess
   per size*, so each number is a true high-water mark, not
   contaminated by previously benchmarked sizes.
 
-Scaling gate (asserted by the parent): peak RSS at n=571 must stay below
-4x the n=300 peak. Every large term grows quadratically: the ``(T, n,
-n)`` flow tensors, the flow-convolution windows and the dense FCG/PCG
-matrices. Pure quadratic growth gives (571/300)^2 ~= 3.62x, and the
-fixed interpreter/numpy baseline pulls the measured ratio a little
-below that. A ratio of 4x or more means something grows faster than
-n^2, such as an ``(n, n, f)`` cube or a per-size copy kept alive.
+Gates (asserted by the parent, ``--smoke`` included): every size's
+served forecast equals the offline forward bitwise, and peak RSS at
+n=571 must stay below 4x the n=300 peak. The large terms grow at most
+quadratically: the dataset's dense ``(T, n, n)`` flow tensors and the
+dense FCG/PCG matrices (flow windows are sparse and grow with trips).
+Pure quadratic growth gives (571/300)^2 ~= 3.62x, and the fixed
+interpreter/numpy baseline pulls the measured ratio below that. A ratio
+of 4x or more means something grows faster than n^2, such as an
+``(n, n, f)`` cube or a per-size copy kept alive.
 
 Results go to ``BENCH_scale.json`` at the repo root.
 
@@ -113,16 +118,29 @@ def _run_child(n: int, days: int) -> None:
         _, profile_dict = op_profile(model, dataset.sample(t))
 
     # One served /predict round trip (the online path must work at
-    # every size, chicago_571 included).
+    # every size, chicago_571 included), at the last sampleable slot so
+    # the offline forward can be taken at the same frontier.
     # cache=False so the timed request pays a real forward rather than
     # hitting the per-slot forecast cache the warm request primed.
+    frontier = dataset.num_slots - 1
     with PredictionService.for_dataset(
-        model, dataset, config=ServiceConfig(cache=False)
+        model, dataset, config=ServiceConfig(cache=False), frontier=frontier
     ) as service:
         service.predict(timeout=600.0)  # warm
         tick = time.perf_counter()
-        service.predict(timeout=600.0)
+        served = service.predict(timeout=600.0)
         serve_seconds = time.perf_counter() - tick
+    with inference_mode():
+        demand, supply = model(dataset.sample(frontier))
+    served_matches_offline = bool(
+        served.slot == frontier
+        and np.array_equal(
+            served.demand, dataset.demand_normalizer.inverse_transform(demand.data)
+        )
+        and np.array_equal(
+            served.supply, dataset.supply_normalizer.inverse_transform(supply.data)
+        )
+    )
 
     # One full training epoch, under the trainer's float64 pin.
     model.train()
@@ -141,6 +159,7 @@ def _run_child(n: int, days: int) -> None:
         "dataset_seconds": dataset_seconds,
         "forward_seconds": forward_seconds,
         "serve_predict_seconds": serve_seconds,
+        "served_matches_offline": served_matches_offline,
         "epoch_seconds": epoch_seconds,
         "train_samples": int(len(train_idx)),
         "peak_rss_bytes": _peak_rss_bytes(),
@@ -203,7 +222,11 @@ def main() -> int:
               f"serve {entry['serve_predict_seconds']*1e3:8.1f} ms  "
               f"peak RSS {entry['peak_rss_bytes']/1e9:5.2f} GB")
 
-    failures = []
+    failures = [
+        f"served forecast at n={n} differs from model(dataset.sample(t))"
+        for n, entry in results["sizes"].items()
+        if not entry["served_matches_offline"]
+    ]
     if {"300", "571"} <= results["sizes"].keys():
         ratio = (results["sizes"]["571"]["peak_rss_bytes"]
                  / results["sizes"]["300"]["peak_rss_bytes"])

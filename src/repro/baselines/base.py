@@ -76,8 +76,8 @@ class DeepBaseline(Module):
         Channel 0 is demand (outflow row sums), channel 1 supply.
         """
         h = self.dims.history
-        demand = sample.short_outflow[-h:].sum(axis=2)
-        supply = sample.short_inflow[-h:].sum(axis=2)
+        demand = sample.short_outflow.row_sums()[-h:]
+        supply = sample.short_inflow.row_sums()[-h:]
         scaled = np.stack([demand, supply], axis=2) / self.dims.input_scale
         # Backend dtype (not hardcoded float64) so a float32 inference
         # scope keeps the whole baseline forward in single precision.
@@ -86,8 +86,8 @@ class DeepBaseline(Module):
     def daily_history(self, sample: FlowSample) -> np.ndarray:
         """Scaled same-slot-of-day series, shape ``(daily, n, 2)``."""
         d = self.dims.daily
-        demand = sample.long_outflow[-d:].sum(axis=2)
-        supply = sample.long_inflow[-d:].sum(axis=2)
+        demand = sample.long_outflow.row_sums()[-d:]
+        supply = sample.long_inflow.row_sums()[-d:]
         scaled = np.stack([demand, supply], axis=2) / self.dims.input_scale
         return scaled.astype(backend.default_dtype(), copy=False)
 

@@ -17,9 +17,10 @@ retrain:
   columns out of the old parameters. New stations keep the donor's
   deterministic initialization; two calls with the same seed produce
   bitwise-identical models.
-* :func:`evolve_flow_store` remaps the live ring buffers in place
-  under the store lock (kept rows/columns copied, removed stations'
-  pending inflows drained and counted), so serving never restarts.
+* :func:`evolve_flow_store` remaps the live store's sparse slots in
+  place under the store lock (kept stations' entries moved through an
+  old->new station table, removed stations' entries dropped and their
+  pending inflows counted), so serving never restarts.
 * :func:`evolve_training_snapshot` carries the warm-start state across:
   kept positions of the Adam moments move with their parameters, new
   positions start at zero (a fresh station has no gradient history).
@@ -40,7 +41,8 @@ import numpy as np
 from repro.core.model import STGNNDJD
 from repro.core.persistence import TrainingSnapshot, training_fingerprint
 from repro.data.stations import Station, StationRegistry
-from repro.serve.state import FlowStateStore
+from repro.data.window import canonical_entries
+from repro.serve.state import FlowStateStore, _SlotEntries
 
 
 @dataclasses.dataclass(frozen=True)
@@ -380,10 +382,10 @@ def evolve_flow_store(
 ) -> float:
     """Grow/shrink a live store's station axes in place.
 
-    Kept stations' retained rows and columns (and pending inflows) move
-    to their new positions; new stations start with zero history;
-    removed stations' pending inflows are drained — returned as the
-    dropped event mass so callers can account for the retired trips.
+    Kept stations' retained entries (and pending inflows) move to their
+    new cells; new stations start with zero history; removed stations'
+    pending inflows are drained — returned as the dropped event mass so
+    callers can account for the retired trips.
     Runs under the store lock and bumps :attr:`FlowStateStore.version`,
     invalidating every forecast cache keyed on the old windows.
     """
@@ -396,31 +398,33 @@ def evolve_flow_store(
             )
         new_n = evolution.num_stations
         kept = evolution.kept_array
-        k = len(kept)
         new_cfg = dataclasses.replace(old_cfg, num_stations=new_n)
-        cap = store._capacity
-        new_inflow = np.zeros((cap, new_n, new_n))
-        new_outflow = np.zeros((cap, new_n, new_n))
-        new_inflow[:, :k, :k] = store._inflow[:, kept][:, :, kept]
-        new_outflow[:, :k, :k] = store._outflow[:, kept][:, :, kept]
+        old_n = old_cfg.num_stations
+        table = np.full(old_n, -1, dtype=np.int64)  # old station -> new id
+        table[kept] = np.arange(len(kept))
+
+        def remap(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Flat cells at the new size, and which old cells survived."""
+            origin, destination = table[cells // old_n], table[cells % old_n]
+            survives = (origin >= 0) & (destination >= 0)
+            return origin[survives] * new_n + destination[survives], survives
+
+        for ring in (store._inflow, store._outflow):
+            for row, slot in enumerate(ring):
+                index, count = slot.entries()
+                cells, survives = remap(index)
+                ring[row] = _SlotEntries(
+                    None, *canonical_entries(cells, count[survives])
+                )
         drained = 0.0
-        new_pending: dict[int, np.ndarray] = {}
-        for slot, pending in store._pending_inflow.items():
-            sub = pending[np.ix_(kept, kept)]
-            drained += float(pending.sum()) - float(sub.sum())
-            if sub.any():
-                remapped = np.zeros((new_n, new_n))
-                remapped[:k, :k] = sub
-                new_pending[slot] = remapped
+        new_pending: dict[int, list[int]] = {}
+        for slot, events in store._pending_inflow.items():
+            cells, _ = remap(np.asarray(events, dtype=np.int64))
+            drained += float(len(events) - cells.size)
+            if cells.size:
+                new_pending[slot] = cells.tolist()
         store.config = new_cfg
-        store._inflow = new_inflow
-        store._outflow = new_outflow
         store._pending_inflow = new_pending
-        kk, d = new_cfg.short_window, new_cfg.long_days
-        store._short_in = np.empty((kk, new_n, new_n))
-        store._short_out = np.empty((kk, new_n, new_n))
-        store._long_in = np.empty((d, new_n, new_n))
-        store._long_out = np.empty((d, new_n, new_n))
         store._zero_target = np.zeros(new_n)
         store._zero_target.setflags(write=False)
         store.version += 1

@@ -22,8 +22,6 @@ offline training stack:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.data.dataset import BikeShareDataset, FlowDataConfig, FlowSample
 from repro.data.normalize import MinMaxNormalizer
 from repro.data.stations import StationRegistry
@@ -119,11 +117,11 @@ def holdback_samples(store, holdback_slots: int) -> list[FlowSample]:
     """Model-ready samples for the newest ``holdback_slots`` finalized slots.
 
     Each returned :class:`FlowSample` carries the *absolute* store slot
-    in ``t``; its windows and targets come from one
-    ``history_window()`` read, so they share the store's bitwise
-    equivalence with the batch tensors. Raises
-    :class:`InsufficientHistoryError` when the retained history cannot
-    back the deepest sample's windows.
+    in ``t``; its windows and targets come from one ``history_slots()``
+    read, built exactly as :meth:`BikeShareDataset.sample` builds them
+    from its slot CSR, so they share the store's equivalence with the
+    batch tensors. Raises :class:`InsufficientHistoryError` when the
+    retained history cannot back the deepest sample's windows.
     """
     if holdback_slots < 1:
         raise ValueError(f"holdback_slots must be >= 1, got {holdback_slots}")
@@ -137,20 +135,20 @@ def holdback_samples(store, holdback_slots: int) -> list[FlowSample]:
             f"holdback evaluation needs slots [{end - depth}, {end}) but the "
             f"store retains [{store.oldest_retained}, {end})"
         )
-    first, inflow, outflow = store.history_window(slots=depth, end=end)
-    demand = outflow.sum(axis=2)
-    supply = inflow.sum(axis=2)
+    first, inflow, outflow = store.history_slots(slots=depth, end=end)
+    demand = outflow.row_sums()
+    supply = inflow.row_sums()
     samples = []
     for t in range(end - holdback_slots, end):
         i = t - first
-        long_rows = np.arange(i - cfg.long_days * spd, i, spd)
+        long_start = i - cfg.long_days * spd
         samples.append(
             FlowSample(
                 t=t,
-                short_inflow=inflow[i - k : i],
-                short_outflow=outflow[i - k : i],
-                long_inflow=inflow[long_rows],
-                long_outflow=outflow[long_rows],
+                short_inflow=inflow.window(i - k, i),
+                short_outflow=outflow.window(i - k, i),
+                long_inflow=inflow.window(long_start, i, spd),
+                long_outflow=outflow.window(long_start, i, spd),
                 target_demand=demand[i],
                 target_supply=supply[i],
             )

@@ -32,9 +32,8 @@ from repro.graphs import (
     PatternCorrelationGraph,
     build_fcg,
 )
-from repro import backend
 from repro.nn import Dropout, Linear, Module, Parameter, init
-from repro.tensor import Tensor, concat, inference_mode, is_grad_enabled
+from repro.tensor import Tensor, concat, inference_mode
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,10 +119,6 @@ class STGNNDJD(Module):
         # per future slot when horizon > 1 (Sec. IX extension).
         self.predictor = Linear(embedding_width, 2 * config.horizon, rng=rng)
 
-        # Forward-only staging buffers for the scaled flow-window stacks,
-        # reused across prediction slots (shapes are fixed per config).
-        self._staging: dict[str, np.ndarray] = {}
-
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
@@ -144,39 +139,23 @@ class STGNNDJD(Module):
     # ------------------------------------------------------------------
     # Forward
     # ------------------------------------------------------------------
-    def _scaled_input(self, key: str, window: np.ndarray, scale: float) -> Tensor:
-        """Scaled flow stack as a Tensor, staged in a reusable buffer.
-
-        Under the recorded-graph path every call allocates (the graph may
-        outlive the next call); on the forward-only path the scaled stack
-        is written into a per-key preallocated buffer instead of
-        re-materialising four window-sized arrays per slot.
-        """
-        if is_grad_enabled():
-            return Tensor(window * scale)
-        dtype = backend.default_dtype()
-        buffer = self._staging.get(key)
-        if buffer is None or buffer.shape != window.shape or buffer.dtype != dtype:
-            buffer = np.empty(window.shape, dtype=dtype)
-            self._staging[key] = buffer
-        np.multiply(window, scale, out=buffer)
-        return Tensor._from_data(buffer)
-
     def _node_features(self, sample: FlowSample) -> FlowConvolutionOutput:
         """Stage 1: dynamic node features from the sample's flow windows."""
         scale = 1.0 / self.config.flow_scale
         if self.config.use_flow_conv:
             return self.flow_conv(
-                self._scaled_input("short_inflow", sample.short_inflow, scale),
-                self._scaled_input("short_outflow", sample.short_outflow, scale),
-                self._scaled_input("long_inflow", sample.long_inflow, scale),
-                self._scaled_input("long_outflow", sample.long_outflow, scale),
+                sample.short_inflow,
+                sample.short_outflow,
+                sample.long_inflow,
+                sample.long_outflow,
+                scale=scale,
             )
-        # No-FC ablation: learnable features, data-derived flow matrices.
+        # No-FC ablation: learnable features, data-derived flow matrices
+        # (the short windows' means, scatter-added from their entries).
         return FlowConvolutionOutput(
             node_features=self.free_features,
-            temporal_inflow=Tensor(sample.short_inflow.mean(axis=0) * scale),
-            temporal_outflow=Tensor(sample.short_outflow.mean(axis=0) * scale),
+            temporal_inflow=Tensor(sample.short_inflow.mean() * scale),
+            temporal_outflow=Tensor(sample.short_outflow.mean() * scale),
         )
 
     def embed(self, sample: FlowSample) -> Tensor:

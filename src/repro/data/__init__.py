@@ -10,6 +10,7 @@ from repro.data.stations import EARTH_RADIUS_KM, Station, StationRegistry, haver
 from repro.data.cleaning import CleaningReport, clean_trips
 from repro.data.flows import build_flow_tensors, demand_supply
 from repro.data.normalize import MinMaxNormalizer
+from repro.data.window import FlowSlots, FlowWindow, canonical_entries
 from repro.data.dataset import BikeShareDataset, FlowDataConfig, FlowSample
 from repro.data.synthetic import (
     HOME,
@@ -46,6 +47,9 @@ __all__ = [
     "BikeShareDataset",
     "FlowDataConfig",
     "FlowSample",
+    "FlowSlots",
+    "FlowWindow",
+    "canonical_entries",
     "SyntheticCityConfig",
     "SyntheticCity",
     "build_city",

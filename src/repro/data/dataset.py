@@ -1,7 +1,9 @@
 """The central dataset object: slotted flows plus windowed sampling.
 
 ``BikeShareDataset`` holds the full ``(T, n, n)`` inflow/outflow tensors
-for a city and exposes exactly what STGNN-DJD consumes at a prediction
+for a city, their canonical per-slot COO entries
+(:class:`repro.data.window.FlowSlots`, see DESIGN "Sparse flow
+windows"), and exposes exactly what STGNN-DJD consumes at a prediction
 time ``t`` (paper Sec. IV-A):
 
 * the *short-term* window — flow matrices of the last ``k`` slots,
@@ -9,8 +11,10 @@ time ``t`` (paper Sec. IV-A):
   the previous ``d`` days,
 * the targets — demand ``x^t`` and supply ``y^t`` per station.
 
-It also owns the day-aligned 70/10/20 train/validation/test split and
-the Min-Max normalizers fitted on training data only (Sec. VII-A).
+Windows are :class:`repro.data.window.FlowWindow` entries, not dense
+stacks. It also owns the day-aligned 70/10/20 train/validation/test
+split and the Min-Max normalizers fitted on training data only
+(Sec. VII-A).
 """
 
 from __future__ import annotations
@@ -19,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from numpy.lib.stride_tricks import as_strided
-
 from repro.data.flows import demand_supply
 from repro.data.normalize import MinMaxNormalizer
 from repro.data.records import SECONDS_PER_DAY
 from repro.data.stations import StationRegistry
+from repro.data.window import FlowSlots, FlowWindow
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,15 +80,17 @@ class FlowDataConfig:
 class FlowSample:
     """Model input/target bundle for one prediction time ``t``.
 
-    Flow windows are raw counts; normalization happens in the model or
-    trainer so that a sample remains interpretable on its own.
+    Flow windows are raw counts as COO entries of ``(k, n, n)`` and
+    ``(d, n, n)`` stacks (:meth:`FlowWindow.dense` recovers the stack);
+    normalization happens in the model or trainer so that a sample
+    remains interpretable on its own.
     """
 
     t: int
-    short_inflow: np.ndarray  # (k, n, n)
-    short_outflow: np.ndarray  # (k, n, n)
-    long_inflow: np.ndarray  # (d, n, n)
-    long_outflow: np.ndarray  # (d, n, n)
+    short_inflow: FlowWindow  # (k, n, n)
+    short_outflow: FlowWindow  # (k, n, n)
+    long_inflow: FlowWindow  # (d, n, n)
+    long_outflow: FlowWindow  # (d, n, n)
     target_demand: np.ndarray  # (n,)
     target_supply: np.ndarray  # (n,)
 
@@ -127,11 +132,9 @@ class BikeShareDataset:
         self._demand_normalizer: MinMaxNormalizer | None = None
         self._supply_normalizer: MinMaxNormalizer | None = None
         self._flow_scale: float | None = None
-        # Window cache: zero-copy stride views over the flow tensors plus
-        # memoised FlowSample bundles (see _long_windows / sample).
-        self._long_inflow = self._long_window_view(inflow)
-        self._long_outflow = self._long_window_view(outflow)
-        self._sample_cache: dict[int, FlowSample] = {}
+        #: Canonical per-slot COO entries, the source of every window.
+        self.inflow_slots = FlowSlots.from_dense(inflow)
+        self.outflow_slots = FlowSlots.from_dense(outflow)
 
     # ------------------------------------------------------------------
     # Dimensions
@@ -195,65 +198,32 @@ class BikeShareDataset:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def _long_window_view(self, flows: np.ndarray) -> np.ndarray:
-        """All long-term windows as one zero-copy stride view.
-
-        Row ``i`` of the returned ``(T - d*spd, d, n, n)`` array is the
-        long-term window for prediction time ``t = i + d*spd``: the flow
-        matrices at the same slot-of-day over the previous ``d`` days,
-        oldest first (the paper's ``{I^{t-d*day}, ..., I^{t-1*day}}``).
-        The seed rebuilt each window with fancy indexing — a fresh
-        ``(d, n, n)`` copy per sample per epoch; the view shares the base
-        tensor's memory, so every ``sample(t)`` after construction costs
-        one index, no copy. Marked read-only: windows alias the dataset.
-        """
-        d = self.config.long_days
-        spd = self.config.slots_per_day
-        base = d * spd
-        count = flows.shape[0] - base
-        if count <= 0:
-            # Degenerate (windows consume all slots); sample() rejects
-            # every t before indexing, but keep a well-formed empty view.
-            count = 0
-        slot_stride, row_stride, col_stride = flows.strides
-        view = as_strided(
-            flows,
-            shape=(count, d, flows.shape[1], flows.shape[2]),
-            strides=(slot_stride, spd * slot_stride, row_stride, col_stride),
-            writeable=False,
-        )
-        return view
-
     def sample(self, t: int) -> FlowSample:
         """Assemble the model input for prediction time ``t``.
 
-        Samples are memoised: the first request builds a bundle of
-        zero-copy views (slices for the short window, stride tricks for
-        the long window) and every later request — e.g. the same ``t``
-        in the next training epoch — returns the cached bundle. Arrays
-        alias the dataset's flow tensors and must not be written to.
+        The short window's entries are a slice of the slot CSR; the long
+        window stacks its ``d`` strided slots. Both are read-only and
+        equal, entry for entry, to the windows a
+        :class:`repro.serve.state.FlowStateStore` holding the same slots
+        serves.
         """
-        cached = self._sample_cache.get(t)
-        if cached is not None:
-            return cached
         if not self.min_history <= t < self.num_slots:
             raise IndexError(
                 f"t={t} outside the sampleable range "
                 f"[{self.min_history}, {self.num_slots})"
             )
         k = self.config.short_window
-        base = self.config.long_days * self.slots_per_day
-        sample = FlowSample(
+        spd = self.slots_per_day
+        long_start = t - self.config.long_days * spd
+        return FlowSample(
             t=t,
-            short_inflow=self.inflow[t - k : t],
-            short_outflow=self.outflow[t - k : t],
-            long_inflow=self._long_inflow[t - base],
-            long_outflow=self._long_outflow[t - base],
+            short_inflow=self.inflow_slots.window(t - k, t),
+            short_outflow=self.outflow_slots.window(t - k, t),
+            long_inflow=self.inflow_slots.window(long_start, t, spd),
+            long_outflow=self.outflow_slots.window(long_start, t, spd),
             target_demand=self.demand[t],
             target_supply=self.supply[t],
         )
-        self._sample_cache[t] = sample
-        return sample
 
     # ------------------------------------------------------------------
     # Normalization (fitted lazily on the training split)

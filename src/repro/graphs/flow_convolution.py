@@ -1,8 +1,8 @@
 """Flow convolution: node-feature learning from raw flows (Sec. IV-A).
 
-The component stacks the short-term window (last ``k`` slots) and the
+The component takes the short-term window (last ``k`` slots) and the
 long-term window (same slot over the last ``d`` days) of inflow/outflow
-matrices as multi-channel tensors and fuses the channels with 1x1
+matrices as multi-channel stacks and fuses the channels with 1x1
 convolutions (Eqs. 1-4):
 
     I_hat_S = ReLU(W1 * I_S + b1)        O_hat_S = ReLU(W2 * O_S + b2)
@@ -12,6 +12,11 @@ then blends short and long views with an attentive softmax gate
 (Eqs. 5-8) and projects the concatenated inflow/outflow embedding to the
 final node-feature matrix ``T in R^{n x n}`` (Eq. 9). ``T`` is dynamic:
 it is recomputed from data at every prediction time ``t``.
+
+The windows arrive as COO entries (:class:`repro.data.window.FlowWindow`)
+and Eqs. 1-4 scatter-add only their non-zero cells, with the input
+scale folded into the same kernel; everything from the ReLU outputs on
+is dense ``n x n``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.window import FlowWindow
 from repro.nn import Conv1x1, Module, Parameter, init
 from repro.tensor import Tensor, concat, gated_fusion, is_grad_enabled
 
@@ -91,26 +97,28 @@ class FlowConvolution(Module):
 
     def forward(
         self,
-        short_inflow: Tensor,
-        short_outflow: Tensor,
-        long_inflow: Tensor,
-        long_outflow: Tensor,
+        short_inflow: FlowWindow,
+        short_outflow: FlowWindow,
+        long_inflow: FlowWindow,
+        long_outflow: FlowWindow,
+        scale: float = 1.0,
     ) -> FlowConvolutionOutput:
         """Fuse flow windows into node features.
 
-        Parameters are the four stacked windows: ``(k, n, n)`` short and
-        ``(d, n, n)`` long tensors for each flow direction.
+        Parameters are the four windows: ``(k, n, n)`` short and
+        ``(d, n, n)`` long stacks for each flow direction, as COO
+        entries; every count is multiplied by ``scale`` (the model's
+        input normalisation) inside the convolution.
         """
         if not is_grad_enabled():
             return self._forward_inference(
-                short_inflow.data, short_outflow.data,
-                long_inflow.data, long_outflow.data,
+                short_inflow, short_outflow, long_inflow, long_outflow, scale
             )
-        # Eqs. 1-4, the ReLU fused into the conv op.
-        inflow_short = self.short_inflow_conv(short_inflow, relu=True)
-        outflow_short = self.short_outflow_conv(short_outflow, relu=True)
-        inflow_long = self.long_inflow_conv(long_inflow, relu=True)
-        outflow_long = self.long_outflow_conv(long_outflow, relu=True)
+        # Eqs. 1-4, the input scale and the ReLU fused into the conv op.
+        inflow_short = self.short_inflow_conv(short_inflow, scale, relu=True)
+        outflow_short = self.short_outflow_conv(short_outflow, scale, relu=True)
+        inflow_long = self.long_inflow_conv(long_inflow, scale, relu=True)
+        outflow_long = self.long_outflow_conv(long_outflow, scale, relu=True)
 
         # Eqs. 5-8. The two-way softmax over {short, long} scores is
         # computed as a sigmoid of the score difference, which is exactly
@@ -131,29 +139,24 @@ class FlowConvolution(Module):
 
     def _forward_inference(
         self,
-        short_inflow: np.ndarray,
-        short_outflow: np.ndarray,
-        long_inflow: np.ndarray,
-        long_outflow: np.ndarray,
+        short_inflow: FlowWindow,
+        short_outflow: FlowWindow,
+        long_inflow: FlowWindow,
+        long_outflow: FlowWindow,
+        scale: float,
     ) -> FlowConvolutionOutput:
         """Whole-component fused forward for the no-grad serving path.
 
-        One python call replaces ~25 recorded ops; every expression
-        mirrors its op counterpart (conv1x1, relu, sigmoid, the gated
-        blend) term for term, so float64 results are bitwise identical
-        to the recorded-graph forward.
+        One python call replaces ~25 recorded ops. Eqs. 1-4 run the same
+        ``sparse_conv1x1`` op as the recorded graph, and every later
+        expression mirrors its op counterpart (sigmoid, the gated blend)
+        term for term, so float64 results are bitwise identical to the
+        recorded-graph forward.
         """
-
-        def conv_relu(conv: Conv1x1, x: np.ndarray) -> np.ndarray:
-            w = conv.weight.data
-            out = (w @ x.reshape(w.shape[0], -1)).reshape(x.shape[1:])
-            out += conv.bias.data
-            return out * (out > 0)
-
-        inflow_short = conv_relu(self.short_inflow_conv, short_inflow)
-        outflow_short = conv_relu(self.short_outflow_conv, short_outflow)
-        inflow_long = conv_relu(self.long_inflow_conv, long_inflow)
-        outflow_long = conv_relu(self.long_outflow_conv, long_outflow)
+        inflow_short = self.short_inflow_conv(short_inflow, scale, relu=True).data
+        outflow_short = self.short_outflow_conv(short_outflow, scale, relu=True).data
+        inflow_long = self.long_inflow_conv(long_inflow, scale, relu=True).data
+        outflow_long = self.long_outflow_conv(long_outflow, scale, relu=True).data
 
         temporal_inflow = self._gated_fusion_data(
             inflow_short, inflow_long, self.gate_inflow.data

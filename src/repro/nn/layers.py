@@ -5,15 +5,23 @@ across the *channel* (time) axis of stacked ``(k, n, n)`` flow tensors
 (Eqs. 1-4). With a 1x1 spatial footprint the convolution degenerates to
 a learned weighted sum over the channel axis plus a bias — which is how
 we implement it, with identical math and gradients to a framework conv.
+The stack arrives as the COO entries of a
+:class:`repro.data.window.FlowWindow`, so the sum runs over its non-zero
+cells only (:func:`repro.tensor.ops.sparse_conv1x1`).
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor, ops
+
+if TYPE_CHECKING:
+    from repro.data.window import FlowWindow
 
 
 class Linear(Module):
@@ -46,12 +54,13 @@ class Linear(Module):
 
 
 class Conv1x1(Module):
-    """1x1 convolution over the leading channel axis of a ``(c, ...)`` tensor.
+    """1x1 convolution over the channel axis of a ``(c, n, n)`` flow window.
 
-    Computes ``out = sigma(sum_c W[c] * x[c] + b)`` where ``b`` has the
+    Computes ``out = sum_c W[c] * scale * x[c] + b`` where ``b`` has the
     shape of one channel, matching the paper's ``W in R^{1xk}`` and
-    ``b in R^{n x n}`` parameterisation (Eqs. 1-4). The activation is
-    applied by the caller, keeping this layer purely linear.
+    ``b in R^{n x n}`` parameterisation (Eqs. 1-4). ``x`` is a
+    :class:`repro.data.window.FlowWindow`; ``scale`` is the input
+    normalisation and ``relu=True`` fuses the activation.
     """
 
     def __init__(
@@ -69,18 +78,19 @@ class Conv1x1(Module):
         self.weight = Parameter(init.xavier_uniform((channels,), rng), name="weight")
         self.bias = Parameter(init.zeros(self.field_shape), name="bias")
 
-    def forward(self, x: Tensor, relu: bool = False) -> Tensor:
-        if x.shape[0] != self.channels:
+    def forward(self, x: FlowWindow, scale: float = 1.0, relu: bool = False) -> Tensor:
+        if x.channels != self.channels:
             raise ValueError(
-                f"expected {self.channels} channels, got tensor with shape {x.shape}"
+                f"expected {self.channels} channels, got window with shape {x.shape}"
             )
         if x.shape[1:] != self.field_shape:
             raise ValueError(
                 f"expected field shape {self.field_shape}, got {x.shape[1:]}"
             )
-        # Fused channel contraction: sum_c W[c] * x[c] + b in one kernel,
-        # optionally with the activation folded in.
-        return ops.conv1x1(x, self.weight, self.bias, relu=relu)
+        return ops.sparse_conv1x1(
+            x.channel, x.index, x.count, self.weight, self.bias,
+            scale=scale, relu=relu,
+        )
 
     def __repr__(self) -> str:
         return f"Conv1x1(channels={self.channels}, field={self.field_shape})"

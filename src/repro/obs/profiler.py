@@ -40,7 +40,7 @@ from repro.backend import registry as _registry
 #: Ops that are fused multi-op kernels; their share of total dispatches
 #: is the fused-op coverage ratio reported by :meth:`OpProfile.fused_coverage`.
 FUSED_OPS = frozenset(
-    {"linear", "conv1x1", "row_softmax", "pairwise_scores", "gated_fusion",
+    {"linear", "sparse_conv1x1", "row_softmax", "pairwise_scores", "gated_fusion",
      "joint_rmse", "sdp_attention"}
 )
 

@@ -579,6 +579,9 @@ class PredictionService:
         fallback propagates to the caller.
         """
         store = self.store
+        # A hit needs no lock: every advance bumps the store version, so
+        # a (frontier, version) pair torn by a concurrent ingest matches
+        # no cached key. A miss keys on what sample_with_version() read.
         key = (store.frontier, store.version, version)
         if self.config.cache:
             with self._cache_lock:
@@ -603,7 +606,8 @@ class PredictionService:
             model.eval()
         try:
             fault_point(self._forecast_site)
-            sample = store.sample()
+            sample, store_version = store.sample_with_version()
+            key = (sample.t, store_version, version)
             with trace_span("serve.forward", slot=sample.t) as forward_span:
                 config = trace_config()
                 profiled = (

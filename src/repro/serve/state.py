@@ -12,18 +12,23 @@ in O(1) amortized work per event.
 
 Mechanics
 ---------
-* **Ring buffers** — the store retains the last ``H + 1`` slots where
-  ``H = max(k, d * slots_per_day)`` is the deepest lookback any window
-  needs; slot ``s`` lives at ring row ``s % (H + 1)``. Advancing the
-  frontier one slot zeroes exactly one row (evicting the slot that just
-  fell off the horizon), so rollover is O(n^2), independent of history
-  length.
-* **Per-event accumulation** — a trip increments one cell of the
-  outflow matrix at its checkout slot and one cell of the inflow matrix
-  at its return slot, the same ``+= 1.0`` the batch builder performs.
+* **Ring of sparse slots** — the store retains the last ``H + 1`` slots
+  where ``H = max(k, d * slots_per_day)`` is the deepest lookback any
+  window needs; slot ``s`` lives at ring row ``s % (H + 1)``. A row holds
+  that slot's flows as COO entries (flat cell ``origin * n +
+  destination`` and count, DESIGN "Sparse flow windows"), never as a
+  dense ``n x n`` matrix, so memory grows with trips, not with ``n^2``.
+  Advancing the frontier one slot replaces exactly one row with an
+  empty one (evicting the slot that just fell off the horizon): O(1).
+* **Per-event accumulation** — a trip appends its flat cell to the
+  outflow row of its checkout slot and to the inflow row of its return
+  slot. When a slot closes, each of its rows folds its events into
+  canonical entries (:func:`repro.data.window.canonical_entries`) once
+  and keeps them; an event landing later invalidates just that row's
+  canonical form, which the next read rebuilds.
 * **In-transit inflow** — a trip that ends after the frontier parks its
-  inflow contribution in a pending per-slot matrix, folded into the
-  ring when the frontier reaches that slot. This mirrors the batch
+  inflow event in a pending per-slot list, which becomes the slot's
+  inflow row when the frontier reaches it. This mirrors the batch
   semantics where a trip ending beyond the window contributes outflow
   only.
 * **Late events** — events landing in a retained slot behind the
@@ -35,13 +40,16 @@ Mechanics
 Equivalence guarantee
 ---------------------
 After ingesting a trip log (in any order whose lateness stays within the
-horizon) and advancing to slot ``T``, the retained slots are **bitwise
-equal** to the corresponding rows of ``build_flow_tensors(trips, n, T,
-slot_seconds)``. Both paths accumulate ``+= 1.0`` into float64 zeros;
-integer-valued float64 sums are exact far beyond any realistic trip
-count, so the accumulation order cannot change a single bit. The
-property test in ``tests/serve/test_state_parity.py`` asserts this over
-randomized, shuffled, late-heavy event streams.
+horizon) and advancing to slot ``T``, the retained slots, densified, are
+**bitwise equal** to the corresponding rows of ``build_flow_tensors(trips,
+n, T, slot_seconds)``: both count trips in float64, and integer-valued
+float64 sums are exact far beyond any realistic trip count, so the
+accumulation order cannot change a single bit. For the same reason a
+slot's canonical entries equal those
+:class:`repro.data.dataset.BikeShareDataset` builds from the batch
+tensors, so :meth:`FlowStateStore.sample` and ``dataset.sample(t)``
+return equal windows entry for entry. ``tests/serve/test_state_parity.py``
+asserts both over randomized, shuffled, late-heavy event streams.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ import numpy as np
 
 from repro.data.dataset import BikeShareDataset, FlowSample
 from repro.data.records import SECONDS_PER_DAY, TripRecord
+from repro.data.window import FlowSlots, FlowWindow, canonical_entries
 from repro.faults import fault_point, fault_transform
 from repro.obs.registry import default_registry
 
@@ -137,6 +146,40 @@ class LateEventError(ValueError):
     """An event landed behind the retained horizon under ``late_policy='error'``."""
 
 
+_NO_INDEX, _NO_COUNT = canonical_entries([])
+
+
+class _SlotEntries:
+    """One slot's flows in one direction: canonical COO entries plus the
+    events appended since they were last folded in."""
+
+    __slots__ = ("index", "count", "events")
+
+    def __init__(
+        self,
+        events: list[int] | None = None,
+        index: np.ndarray = _NO_INDEX,
+        count: np.ndarray = _NO_COUNT,
+    ) -> None:
+        self.events = [] if events is None else events
+        self.index = index
+        self.count = count
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical ``(index, count)``, folding in pending events."""
+        if self.events:
+            events = np.asarray(self.events, dtype=np.int64)
+            if self.index.size:
+                self.index, self.count = canonical_entries(
+                    np.concatenate([self.index, events]),
+                    np.concatenate([self.count, np.ones(events.size)]),
+                )
+            else:
+                self.index, self.count = canonical_entries(events)
+            self.events = []
+        return self.index, self.count
+
+
 class FlowStateStore:
     """Rolling inflow/outflow state, updated one trip event at a time.
 
@@ -151,9 +194,10 @@ class FlowStateStore:
         self.config = config
         n = config.num_stations
         self._capacity = config.retention + 1  # retained slots: (f - R, f]
-        self._inflow = np.zeros((self._capacity, n, n))
-        self._outflow = np.zeros((self._capacity, n, n))
-        self._pending_inflow: dict[int, np.ndarray] = {}
+        self._inflow = [_SlotEntries() for _ in range(self._capacity)]
+        self._outflow = [_SlotEntries() for _ in range(self._capacity)]
+        #: Return events of trips still in transit, by return slot.
+        self._pending_inflow: dict[int, list[int]] = {}
         self._frontier = frontier
         self._start_frontier = frontier
         self._warm_started = False
@@ -162,12 +206,6 @@ class FlowStateStore:
         #: landing behind the frontier). Forecast caches key on it.
         self.version = 0
         self._lock = threading.RLock()
-        # Preallocated window snapshots for sample().
-        k, d = config.short_window, config.long_days
-        self._short_in = np.empty((k, n, n))
-        self._short_out = np.empty((k, n, n))
-        self._long_in = np.empty((d, n, n))
-        self._long_out = np.empty((d, n, n))
         self._zero_target = np.zeros(n)
         self._zero_target.setflags(write=False)
         obs = default_registry()
@@ -209,8 +247,8 @@ class FlowStateStore:
         first = max(0, frontier - config.retention)
         for slot in range(first, frontier):
             row = slot % store._capacity
-            store._inflow[row] = dataset.inflow[slot]
-            store._outflow[row] = dataset.outflow[slot]
+            store._inflow[row] = _SlotEntries(None, *dataset.inflow_slots.slot(slot))
+            store._outflow[row] = _SlotEntries(None, *dataset.outflow_slots.slot(slot))
         store._warm_started = True
         return store
 
@@ -305,17 +343,21 @@ class FlowStateStore:
                     )
                 self._late_dropped_counter.inc()
                 return False
-            self._outflow[start_slot % self._capacity][origin, destination] += 1.0
+            n = self.config.num_stations  # re-read: evolution may resize
+            self._outflow[start_slot % self._capacity].events.append(
+                origin * n + destination
+            )
             if start_slot < self._frontier:
                 # A late checkout changed an already-closed slot: any
                 # forecast computed from the old windows is stale.
                 self.version += 1
-            self._apply_inflow(destination, origin, end_slot)
+            self._apply_inflow(destination * n + origin, end_slot)
             self._events_counter.inc()
             return True
 
-    def _apply_inflow(self, station: int, counterpart: int, end_slot: int) -> None:
-        """Credit an inflow at ``end_slot``, wherever that slot lives.
+    def _apply_inflow(self, cell: int, end_slot: int) -> None:
+        """Credit an inflow to flat ``cell`` at ``end_slot``, wherever that
+        slot lives.
 
         Matches the batch builder: returns before slot 0 are ignored,
         returns beyond the frontier wait in the pending map, returns
@@ -324,16 +366,11 @@ class FlowStateStore:
         if end_slot < 0:
             return
         if end_slot > self._frontier:
-            pending = self._pending_inflow.get(end_slot)
-            if pending is None:
-                n = self.config.num_stations
-                pending = np.zeros((n, n))
-                self._pending_inflow[end_slot] = pending
-            pending[station, counterpart] += 1.0
+            self._pending_inflow.setdefault(end_slot, []).append(cell)
             return
         if end_slot <= self._frontier - self._capacity:
             return  # behind the horizon: unreadable, matches eviction
-        self._inflow[end_slot % self._capacity][station, counterpart] += 1.0
+        self._inflow[end_slot % self._capacity].events.append(cell)
         if end_slot < self._frontier:
             self.version += 1
 
@@ -343,9 +380,9 @@ class FlowStateStore:
     def advance_to(self, slot: int) -> None:
         """Move the frontier to ``slot``, finalizing every slot passed.
 
-        Each newly opened slot starts from zeros (the ring row it
-        claims belonged to the slot one full horizon earlier) plus any
-        pending inflow from trips already known to end in it.
+        Each newly opened slot starts empty (the ring row it claims
+        belonged to the slot one full horizon earlier) apart from the
+        pending inflow of trips already known to end in it.
         """
         with self._lock:
             if slot < self._frontier:
@@ -356,26 +393,22 @@ class FlowStateStore:
                 return
             fault_point("state.rollover")
             gap = slot - self._frontier
-            if gap >= self._capacity:
-                # The entire ring is evicted; skip per-slot zeroing.
-                self._inflow[:] = 0.0
-                self._outflow[:] = 0.0
-                fresh = range(slot - self._capacity + 1, slot + 1)
-            else:
-                fresh = range(self._frontier + 1, slot + 1)
-                for s in fresh:
-                    row = s % self._capacity
-                    self._inflow[row] = 0.0
-                    self._outflow[row] = 0.0
+            # When the gap spans the whole ring every row is evicted.
+            fresh = range(max(self._frontier + 1, slot - self._capacity + 1), slot + 1)
             for s in fresh:
-                pending = self._pending_inflow.pop(s, None)
-                if pending is not None:
-                    self._inflow[s % self._capacity] += pending
+                row = s % self._capacity
+                self._inflow[row] = _SlotEntries(self._pending_inflow.pop(s, None))
+                self._outflow[row] = _SlotEntries()
             # Pending inflow for slots the frontier jumped clean over
             # (possible when gap >= capacity) is now behind the horizon.
             for s in [s for s in self._pending_inflow if s <= slot - self._capacity]:
                 del self._pending_inflow[s]
             old_frontier = self._frontier
+            # Fold the slots that just closed into canonical form once,
+            # here, so sample() on the serving path only stacks them.
+            for s in range(max(old_frontier, slot - self._capacity + 1), slot):
+                self._inflow[s % self._capacity].entries()
+                self._outflow[s % self._capacity].entries()
             self._frontier = slot
             self.version += 1
             self._rollover_counter.inc(gap)
@@ -406,10 +439,10 @@ class FlowStateStore:
         """Realized per-station ``(demand, supply)`` for a retained slot.
 
         Demand is the station's total outflow, supply its total inflow —
-        the same row sums :func:`repro.data.flows.demand_supply` takes,
-        so reconciliation compares forecasts against exactly what the
-        offline evaluation would. Raises :class:`IndexError` once the
-        slot has been evicted from the ring.
+        the row sums :func:`repro.data.flows.demand_supply` takes of the
+        densified slot, so reconciliation compares forecasts against
+        exactly what the offline evaluation would. Raises
+        :class:`IndexError` once the slot has been evicted from the ring.
         """
         slot = int(slot)
         with self._lock:
@@ -419,76 +452,91 @@ class FlowStateStore:
                     f"({self.oldest_retained}..{self._frontier})"
                 )
             row = slot % self._capacity
-            return (
-                self._outflow[row].sum(axis=1),
-                self._inflow[row].sum(axis=1),
-            )
+            n = self.config.num_stations
+            rows = []
+            for ring in (self._outflow, self._inflow):
+                index, count = ring[row].entries()
+                rows.append(np.bincount(index // n, weights=count, minlength=n))
+            return rows[0], rows[1]
 
-    def _gather(self, ring: np.ndarray, slots: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.take(ring, slots % self._capacity, axis=0, out=out)
-        return out
+    def _entries(self, ring: list[_SlotEntries], slots: range) -> list:
+        """Canonical ``(index, count)`` of each of ``slots``, in order."""
+        cap = self._capacity
+        return [ring[s % cap].entries() for s in slots]
 
     def sample(self) -> FlowSample:
         """The model input for predicting the current frontier slot.
 
-        Windows are copies into buffers owned by the store (stable until
-        the next ``sample()`` call), ordered exactly as
-        :meth:`repro.data.dataset.BikeShareDataset.sample` orders them:
-        short window oldest-first over ``[t-k, t)``, long window
-        oldest-first over the same slot-of-day of the previous ``d``
-        days. Target fields are zeros — the future is what the model is
-        being asked for.
+        Windows are fresh read-only :class:`FlowWindow`\\ s, stacked from
+        the ring's canonical slots in exactly the order
+        :meth:`repro.data.dataset.BikeShareDataset.sample` uses: short
+        window oldest-first over ``[t-k, t)``, long window oldest-first
+        over the same slot-of-day of the previous ``d`` days. For the
+        same slots the arrays equal the dataset's entry for entry.
+        Target fields are zeros — the future is what the model is being
+        asked for.
         """
         config = self.config
-        t = self._frontier
-        if t < config.horizon:
-            raise IndexError(
-                f"frontier {t} has incomplete history windows "
-                f"(need at least {config.horizon} finalized slots)"
-            )
         with self._lock:
+            t = self._frontier
+            if t < config.horizon:
+                raise IndexError(
+                    f"frontier {t} has incomplete history windows "
+                    f"(need at least {config.horizon} finalized slots)"
+                )
             k, d, spd = config.short_window, config.long_days, config.slots_per_day
-            short_slots = np.arange(t - k, t)
-            long_slots = np.arange(t - d * spd, t, spd)
+            n = config.num_stations
+            short_slots = range(t - k, t)
+            long_slots = range(t - d * spd, t, spd)
+
+            def window(ring: list[_SlotEntries], slots: range) -> FlowWindow:
+                return FlowWindow.from_slots(self._entries(ring, slots), n)
+
             return FlowSample(
                 t=t,
-                short_inflow=self._gather(self._inflow, short_slots, self._short_in),
-                short_outflow=self._gather(self._outflow, short_slots, self._short_out),
-                long_inflow=self._gather(self._inflow, long_slots, self._long_in),
-                long_outflow=self._gather(self._outflow, long_slots, self._long_out),
+                short_inflow=window(self._inflow, short_slots),
+                short_outflow=window(self._outflow, short_slots),
+                long_inflow=window(self._inflow, long_slots),
+                long_outflow=window(self._outflow, long_slots),
                 target_demand=self._zero_target,
                 target_supply=self._zero_target,
             )
 
+    def sample_with_version(self) -> tuple[FlowSample, int]:
+        """:meth:`sample` and the :attr:`version` its windows reflect,
+        read under one lock hold — the identity a forecast cache keys on."""
+        with self._lock:
+            return self.sample(), self.version
+
     def retained_tensors(self) -> tuple[int, np.ndarray, np.ndarray]:
         """``(first_slot, inflow, outflow)`` for every retained slot.
 
-        The arrays are ``(m, n, n)`` contiguous copies covering slots
+        The arrays are dense ``(m, n, n)`` copies covering slots
         ``first_slot .. frontier`` inclusive — the view the parity tests
         compare bitwise against ``build_flow_tensors``.
         """
         with self._lock:
             first = self.oldest_retained
-            slots = np.arange(first, self._frontier + 1)
-            rows = slots % self._capacity
-            return first, self._inflow[rows].copy(), self._outflow[rows].copy()
+            slots = range(first, self._frontier + 1)
+            n = self.config.num_stations
+            return (
+                first,
+                FlowSlots.from_slots(self._entries(self._inflow, slots), n).dense(),
+                FlowSlots.from_slots(self._entries(self._outflow, slots), n).dense(),
+            )
 
-    def history_window(
+    def history_slots(
         self, slots: int | None = None, end: int | None = None
-    ) -> tuple[int, np.ndarray, np.ndarray]:
-        """Training-ready ``(first_slot, inflow, outflow)`` flow tensors.
+    ) -> tuple[int, FlowSlots, FlowSlots]:
+        """``(first_slot, inflow, outflow)`` canonical slots of a history range.
 
-        Returns contiguous copies of the last ``slots`` *finalized*
-        slots ending at ``end`` (exclusive; defaults to the frontier, so
-        the open, still-accumulating frontier row is never included).
-        Rows are bitwise equal to the corresponding rows of
-        :func:`repro.data.flows.build_flow_tensors` over the same event
-        log — both paths accumulate integer-valued ``+= 1.0`` into
-        float64 zeros, so the continual trainer retrains on exactly the
-        tensors the offline pipeline would have built. Raises
-        :class:`ValueError` when the requested range reaches behind
-        :attr:`oldest_retained` (deepen ``retained_slots`` to keep
-        more).
+        Covers the last ``slots`` *finalized* slots ending at ``end``
+        (exclusive; defaults to the frontier, so the open,
+        still-accumulating frontier slot is never included), as the same
+        :class:`FlowSlots` a :class:`BikeShareDataset` holds for those
+        slots. Raises :class:`ValueError` when the requested range
+        reaches behind :attr:`oldest_retained` (deepen
+        ``retained_slots`` to keep more).
         """
         with self._lock:
             stop = self._frontier if end is None else int(end)
@@ -508,6 +556,25 @@ class FlowStateStore:
                     f"retained slot {self.oldest_retained}; raise "
                     f"FlowStateConfig.retained_slots to keep a deeper history"
                 )
-            slot_ids = np.arange(start, stop)
-            rows = slot_ids % self._capacity
-            return start, self._inflow[rows].copy(), self._outflow[rows].copy()
+            span = range(start, stop)
+            n = self.config.num_stations
+            return (
+                start,
+                FlowSlots.from_slots(self._entries(self._inflow, span), n),
+                FlowSlots.from_slots(self._entries(self._outflow, span), n),
+            )
+
+    def history_window(
+        self, slots: int | None = None, end: int | None = None
+    ) -> tuple[int, np.ndarray, np.ndarray]:
+        """Training-ready ``(first_slot, inflow, outflow)`` flow tensors.
+
+        :meth:`history_slots` densified to ``(m, n, n)`` arrays. Rows
+        are bitwise equal to the corresponding rows of
+        :func:`repro.data.flows.build_flow_tensors` over the same event
+        log — both count trips in float64, where integer sums are exact
+        in any order — so the continual trainer retrains on exactly the
+        tensors the offline pipeline would have built.
+        """
+        first, inflow, outflow = self.history_slots(slots, end)
+        return first, inflow.dense(), outflow.dense()

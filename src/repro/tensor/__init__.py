@@ -22,7 +22,7 @@ from repro.tensor.ops import (
     minimum,
     masked_softmax,
     linear,
-    conv1x1,
+    sparse_conv1x1,
     row_softmax,
     pairwise_scores,
     gated_fusion,
@@ -41,7 +41,7 @@ __all__ = [
     "minimum",
     "masked_softmax",
     "linear",
-    "conv1x1",
+    "sparse_conv1x1",
     "row_softmax",
     "pairwise_scores",
     "gated_fusion",

@@ -16,7 +16,7 @@ Structure of every op::
 The early return is the forward-only fast path: under ``no_grad()`` /
 ``inference_mode()`` no backward closure, cell variables or parent tuple
 are allocated — per-op overhead drops to one numpy call plus one slotted
-``Tensor``. Hot-path *fused* ops (:func:`linear`, :func:`conv1x1`,
+``Tensor``. Hot-path *fused* ops (:func:`linear`, :func:`sparse_conv1x1`,
 :func:`row_softmax`, :func:`pairwise_scores`) additionally collapse
 multi-op numpy pipelines into single kernels with in-place arithmetic,
 and draw their output buffers from :mod:`repro.backend.pool` when a
@@ -272,55 +272,56 @@ def linear(x, weight, bias=None) -> Tensor:
     return Tensor._make(data, parents, backward)
 
 
-@register("conv1x1")
-def conv1x1(x, weight, bias, relu: bool = False) -> Tensor:
-    """Fused 1x1 channel convolution ``sum_c W[c] * x[c] + b``.
+@register("sparse_conv1x1")
+def sparse_conv1x1(
+    channel, index, count, weight, bias, scale: float = 1.0, relu: bool = False
+) -> Tensor:
+    """1x1 channel convolution of a COO flow window, ``sum_c W[c] x[c] + b``.
 
-    The flow-convolution kernel (Eqs. 1-4): ``x`` is ``(c, *field)``,
-    ``weight`` is ``(c,)`` and ``bias`` has the field shape. One
-    ``tensordot`` contracts the channel axis — replacing the seed path's
-    transpose + matmul + add (three ops, two large temporaries). With
-    ``relu=True`` the activation folds into the same op (the Eqs. 1-4
-    pattern), saving a full-size node + closure per call.
+    The flow-convolution kernel (Eqs. 1-4). The window is three parallel
+    arrays (``channel``, flat cell ``index``, ``count``; see
+    :class:`repro.data.window.FlowWindow`) ordered by ``channel``, as a
+    ``FlowWindow`` always is; ``weight`` is ``(c,)`` and
+    ``bias`` has the ``(n, n)`` field shape. Each entry contributes
+    ``count * (W * scale)[channel]`` to its cell, scatter-added with one
+    ``bincount``, so the work is proportional to the window's non-zero
+    entries instead of ``c * n * n``. ``scale`` (the input
+    normalisation) is folded into the ``c`` weights, not the entries;
+    with ``relu=True`` the activation is fused too.
+    The window is data: it gets no gradient. The weight gradient is the
+    same scatter run backwards, one ``bincount`` over channels.
     """
-    x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
-    x_data, w_data = x.data, weight.data
-    # Channel contraction as a flat matvec: same BLAS dot as tensordot
-    # without tensordot's per-call transpose/reshape machinery.
-    flat_x = x_data.reshape(w_data.shape[0], -1)
-    out = (w_data @ flat_x).reshape(x_data.shape[1:])
-    if _no_graph(x, weight, bias):
-        if np.can_cast(bias.data.dtype, out.dtype, casting="same_kind"):
-            out += bias.data
-        else:
-            out = out + bias.data
+    weight, bias = _wrap(weight), _wrap(bias)
+    w_data, b_data = weight.data, bias.data
+    # Entries are grouped by channel, so each entry's weight is a run
+    # of W[c]: np.repeat over the channel bounds beats gathering W by
+    # channel, and scaling the one temporary in place avoids a second.
+    bounds = np.searchsorted(channel, np.arange(w_data.shape[0] + 1))
+    coef = np.repeat((w_data * scale).astype(np.float64, copy=False), np.diff(bounds))
+    coef *= count
+    data = np.bincount(index, weights=coef, minlength=b_data.size).reshape(b_data.shape)
+    if data.dtype != b_data.dtype:
+        data = data.astype(b_data.dtype)
+    data += b_data
+    if _no_graph(weight, bias):
         if relu:
-            out *= out > 0
-        return Tensor._from_data(out)
+            data *= data > 0
+        return Tensor._from_data(data)
 
-    data = out + bias.data
     mask = None
     if relu:
         mask = data > 0
-        data = data * mask
-    # The windows fed to Eqs. 1-4 are raw-data leaves: skip the
-    # channel-broadcast input gradient (the largest array of the whole
-    # backward pass) unless something upstream actually needs it.
-    need_x = x.requires_grad
+        data *= mask
 
     def backward(grad):
         if mask is not None:
             grad = grad * mask
-        # Weight gradient as the same flat matvec as the forward —
-        # tensordot's generic transpose/reshape setup costs more than
-        # the (c, field) @ (field,) BLAS call it wraps at these sizes.
-        grad_w = flat_x @ grad.ravel()
-        grad_x = None
-        if need_x:
-            grad_x = w_data.reshape((-1,) + (1,) * grad.ndim) * grad
-        return (grad_x, grad_w, grad)
+        terms = np.take(grad.ravel(), index)
+        terms *= count
+        grad_w = np.bincount(channel, weights=terms, minlength=w_data.shape[0])
+        return ((grad_w * scale).astype(w_data.dtype, copy=False), grad)
 
-    return Tensor._make(data, (x, weight, bias), backward)
+    return Tensor._make(data, (weight, bias), backward)
 
 
 @register("row_softmax")

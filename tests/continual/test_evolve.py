@@ -24,6 +24,7 @@ from repro.core.persistence import training_fingerprint
 from repro.core.trainer import Trainer, TrainingConfig
 from repro.data.records import TripRecord
 from repro.data.synthetic import SyntheticCityConfig, generate_city
+from repro.data.window import FlowWindow
 from repro.serve.state import FlowStateStore
 
 
@@ -104,12 +105,16 @@ class TestModelEvolution:
         evolved = evolve_model(model, GraphEvolution.shrink(8, [2, 5]), seed=1)
         sample = city.sample(city.min_history)
         kept = np.array([0, 1, 3, 4, 6, 7])
+
+        def sub(window):
+            return FlowWindow.from_dense(window.dense()[:, kept][:, :, kept])
+
         small = dataclasses.replace(
             sample,
-            short_inflow=sample.short_inflow[:, kept][:, :, kept],
-            short_outflow=sample.short_outflow[:, kept][:, :, kept],
-            long_inflow=sample.long_inflow[:, kept][:, :, kept],
-            long_outflow=sample.long_outflow[:, kept][:, :, kept],
+            short_inflow=sub(sample.short_inflow),
+            short_outflow=sub(sample.short_outflow),
+            long_inflow=sub(sample.long_inflow),
+            long_outflow=sub(sample.long_outflow),
             target_demand=sample.target_demand[kept],
             target_supply=sample.target_supply[kept],
         )

@@ -19,6 +19,7 @@ from repro.continual import (
 )
 from repro.data.synthetic import SyntheticCityConfig, generate_city
 from repro.serve.state import FlowStateStore
+from tests.windows import assert_sample_windows_equal
 
 
 @pytest.fixture(scope="module")
@@ -107,10 +108,7 @@ class TestHoldbackSamples:
         )
         for sample in samples:
             reference = city.sample(sample.t)
-            assert np.array_equal(sample.short_inflow, reference.short_inflow)
-            assert np.array_equal(sample.short_outflow, reference.short_outflow)
-            assert np.array_equal(sample.long_inflow, reference.long_inflow)
-            assert np.array_equal(sample.long_outflow, reference.long_outflow)
+            assert_sample_windows_equal(sample, reference)
             assert np.array_equal(sample.target_demand, reference.target_demand)
             assert np.array_equal(sample.target_supply, reference.target_supply)
 

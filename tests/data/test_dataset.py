@@ -105,15 +105,16 @@ class TestSampling:
         ds = make_dataset()
         t = ds.min_history + 1
         sample = ds.sample(t)
-        np.testing.assert_allclose(sample.short_inflow, ds.inflow[t - 4 : t])
+        np.testing.assert_allclose(sample.short_inflow.dense(), ds.inflow[t - 4 : t])
 
     def test_long_window_is_same_slot_of_previous_days(self):
         ds = make_dataset()
         t = ds.min_history + 2
         sample = ds.sample(t)
         spd = ds.slots_per_day
-        np.testing.assert_allclose(sample.long_inflow[-1], ds.inflow[t - spd])
-        np.testing.assert_allclose(sample.long_inflow[0], ds.inflow[t - 2 * spd])
+        long_inflow = sample.long_inflow.dense()
+        np.testing.assert_allclose(long_inflow[-1], ds.inflow[t - spd])
+        np.testing.assert_allclose(long_inflow[0], ds.inflow[t - 2 * spd])
 
     def test_targets_match_dataset(self):
         ds = make_dataset()
@@ -135,13 +136,13 @@ class TestSampling:
 
 
 class TestWindowCache:
-    """The stride-view window cache must equal freshly stacked windows.
+    """Windows built from the slot CSR must equal freshly stacked windows.
 
-    The seed built every window with fancy indexing per ``sample()``
-    call; the cache replaces that with zero-copy views plus memoised
-    ``FlowSample`` bundles. These are the regression tests for that
-    substitution: for *every* valid ``t`` the cached arrays must be
-    elementwise identical to the original construction.
+    The seed built every window with fancy indexing over the dense flow
+    tensors; the dataset now slices canonical per-slot COO entries.
+    These are the regression tests for that substitution: for *every*
+    valid ``t`` the densified windows must be elementwise identical to
+    the original construction.
     """
 
     def test_cache_matches_fresh_stacks_for_all_valid_t(self):
@@ -154,29 +155,39 @@ class TestWindowCache:
             # Original constructions: slices for the short window, a
             # fancy-indexed same-slot stack (oldest first) for the long.
             long_idx = [t - i * spd for i in range(d, 0, -1)]
-            np.testing.assert_array_equal(sample.short_inflow, ds.inflow[t - k : t])
-            np.testing.assert_array_equal(sample.short_outflow, ds.outflow[t - k : t])
-            np.testing.assert_array_equal(sample.long_inflow, ds.inflow[long_idx])
-            np.testing.assert_array_equal(sample.long_outflow, ds.outflow[long_idx])
+            np.testing.assert_array_equal(
+                sample.short_inflow.dense(), ds.inflow[t - k : t]
+            )
+            np.testing.assert_array_equal(
+                sample.short_outflow.dense(), ds.outflow[t - k : t]
+            )
+            np.testing.assert_array_equal(sample.long_inflow.dense(), ds.inflow[long_idx])
+            np.testing.assert_array_equal(
+                sample.long_outflow.dense(), ds.outflow[long_idx]
+            )
             np.testing.assert_array_equal(sample.target_demand, ds.demand[t])
             np.testing.assert_array_equal(sample.target_supply, ds.supply[t])
 
-    def test_samples_are_memoised(self):
-        ds = make_dataset()
-        t = ds.min_history + 1
-        assert ds.sample(t) is ds.sample(t)
-
     def test_windows_are_views_not_copies(self):
+        # A short window is a slice of the slot CSR: its entry arrays
+        # share the dataset's memory instead of copying it.
         ds = make_dataset()
-        sample = ds.sample(ds.min_history)
-        assert sample.short_inflow.base is not None
-        assert sample.long_inflow.base is not None
+        t = ds.min_history
+        sample = ds.sample(t)
+        k = ds.config.short_window
+        lo, hi = ds.inflow_slots.indptr[t - k], ds.inflow_slots.indptr[t]
+        assert sample.short_inflow.index.base is not None
+        assert np.shares_memory(sample.short_inflow.index, ds.inflow_slots.index)
+        assert np.shares_memory(sample.short_inflow.count, ds.inflow_slots.count)
+        assert sample.short_inflow.count.size == hi - lo
 
     def test_long_window_views_are_read_only(self):
         ds = make_dataset()
         sample = ds.sample(ds.min_history)
-        with pytest.raises(ValueError):
-            sample.long_inflow[0, 0, 0] = 99.0
+        for window in (sample.short_inflow, sample.long_inflow):
+            for array in (window.channel, window.index, window.count):
+                with pytest.raises(ValueError):
+                    array[0] = 99
 
 
 class TestNormalizers:

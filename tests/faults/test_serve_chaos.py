@@ -22,6 +22,7 @@ from repro.core import STGNNDJD, save_checkpoint
 from repro.core.persistence import CheckpointCorruptError
 from repro.faults import FaultPlan, InjectedFault, injected
 from repro.obs import default_registry, metrics_scope
+from repro.obs.quality import QualityConfig
 from repro.serve import (
     FlowStateStore,
     PredictionService,
@@ -90,6 +91,41 @@ class TestStaleFallback:
                     service.predict()
             assert service.running
             assert service.predict().stale is False
+
+
+class TestForecastCacheKey:
+    def test_rollover_during_forecast_keys_the_slot_it_served(
+        self, served_model, tiny_dataset
+    ):
+        # A trip landing in the next slot between the cache lookup and
+        # the window read rolls the frontier over mid-forecast. The
+        # forecast is for the new slot, so it must be cached, labelled
+        # and recorded under the new slot and store version; the next
+        # predict at that slot is then a cache hit, not a second forward.
+        service = sync_service(
+            served_model, tiny_dataset,
+            quality=QualityConfig(window=16, min_samples=1),
+        )
+        store = service.store
+        start = store.frontier
+        slot_seconds = store.config.slot_seconds
+
+        def next_slot_trip(site):
+            t0 = (start + 1) * slot_seconds
+            store.ingest_event(0, 1, t0 + 1.0, t0 + 2.0)
+
+        plan = FaultPlan(seed=0).on(
+            "serve.forecast", action="call", at=1, callback=next_slot_trip
+        )
+        with injected(plan):
+            first = service.predict()
+        assert store.frontier == start + 1
+        assert first.slot == start + 1 and not first.cached
+        assert service.quality._pending[(start + 1, 0)][3] == store.version
+
+        second = service.predict()
+        assert second.slot == start + 1 and second.cached
+        np.testing.assert_array_equal(second.demand, first.demand)
 
 
 class TestTornCheckpointReload:

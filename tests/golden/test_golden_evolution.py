@@ -9,12 +9,15 @@ evolution remap rules that loses, reorders or recomputes a kept value
 fails against the same pinned artifacts as the plain forward test.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import backend
 from repro.continual import GraphEvolution, evolve_model
 from repro.core.model import STGNNDJD
+from repro.data.window import FlowWindow
 from repro.graphs.fcg import build_fcg
 from repro.tensor import inference_mode
 
@@ -91,20 +94,19 @@ def test_grown_model_preserves_kept_station_forward():
     n = dataset.num_stations
     grown = evolve_model(model, GraphEvolution.grow(n, 2), seed=5)
     sample = dataset.sample(dataset.min_history)
-    wide = np.zeros((sample.short_inflow.shape[0], n + 2, n + 2))
-    wide[:, :n, :n] = sample.short_inflow
-    wide_out = np.zeros_like(wide)
-    wide_out[:, :n, :n] = sample.short_outflow
-    long_wide = np.zeros((sample.long_inflow.shape[0], n + 2, n + 2))
-    long_wide[:, :n, :n] = sample.long_inflow
-    long_wide_out = np.zeros_like(long_wide)
-    long_wide_out[:, :n, :n] = sample.long_outflow
-    import dataclasses
+
+    def widen(window):
+        dense = window.dense()
+        wide = np.zeros((dense.shape[0], n + 2, n + 2))
+        wide[:, :n, :n] = dense
+        return FlowWindow.from_dense(wide)
 
     wide_sample = dataclasses.replace(
         sample,
-        short_inflow=wide, short_outflow=wide_out,
-        long_inflow=long_wide, long_outflow=long_wide_out,
+        short_inflow=widen(sample.short_inflow),
+        short_outflow=widen(sample.short_outflow),
+        long_inflow=widen(sample.long_inflow),
+        long_outflow=widen(sample.long_outflow),
         target_demand=np.zeros(n + 2), target_supply=np.zeros(n + 2),
     )
     with backend.dtype_scope(np.float64), inference_mode():

@@ -8,6 +8,7 @@ import pytest
 from repro.core import model as model_module
 from repro.core.model import STGNNDJD, STGNNDJDConfig
 from repro.data.dataset import FlowSample
+from repro.data.window import FlowWindow
 from repro.graphs import FlowConvolution, FlowConvolutionOutput, build_fcg
 from repro.nn import PairwiseAdditiveAttention
 from repro.tensor import Tensor, inference_mode
@@ -88,10 +89,10 @@ class TestWeights:
     def test_integration_with_flow_convolution(self, rng):
         conv = FlowConvolution(4, 3, 2, rng)
         out = conv(
-            Tensor(rng.poisson(3.0, (3, 4, 4)).astype(float)),
-            Tensor(rng.poisson(3.0, (3, 4, 4)).astype(float)),
-            Tensor(rng.poisson(3.0, (2, 4, 4)).astype(float)),
-            Tensor(rng.poisson(3.0, (2, 4, 4)).astype(float)),
+            FlowWindow.from_dense(rng.poisson(3.0, (3, 4, 4)).astype(float)),
+            FlowWindow.from_dense(rng.poisson(3.0, (3, 4, 4)).astype(float)),
+            FlowWindow.from_dense(rng.poisson(3.0, (2, 4, 4)).astype(float)),
+            FlowWindow.from_dense(rng.poisson(3.0, (2, 4, 4)).astype(float)),
         )
         graph = build_fcg(out)
         assert graph.num_nodes == 4
@@ -114,10 +115,12 @@ class TestModelGraphsAreDense:
         model.eval()
         sample = FlowSample(
             t=0,
-            short_inflow=rng.poisson(1.0, (4, n, n)).astype(float),
-            short_outflow=rng.poisson(1.0, (4, n, n)).astype(float),
-            long_inflow=rng.poisson(1.0, (2, n, n)).astype(float),
-            long_outflow=rng.poisson(1.0, (2, n, n)).astype(float),
+            short_inflow=FlowWindow.from_dense(rng.poisson(1.0, (4, n, n)).astype(float)),
+            short_outflow=FlowWindow.from_dense(
+                rng.poisson(1.0, (4, n, n)).astype(float)
+            ),
+            long_inflow=FlowWindow.from_dense(rng.poisson(1.0, (2, n, n)).astype(float)),
+            long_outflow=FlowWindow.from_dense(rng.poisson(1.0, (2, n, n)).astype(float)),
             target_demand=np.zeros(n),
             target_supply=np.zeros(n),
         )

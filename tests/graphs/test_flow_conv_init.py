@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.data.window import FlowWindow
 from repro.graphs import FlowConvolution
-from repro.tensor import Tensor
 
 
 class TestFlowConvolutionInit:
@@ -32,10 +32,10 @@ class TestFlowConvolutionInit:
         the property the positive init exists to provide."""
         n = 5
         conv = FlowConvolution(n, 4, 2, rng)
-        small = Tensor(np.full((4, n, n), 0.1))
-        large = Tensor(np.full((4, n, n), 1.0))
-        small_long = Tensor(np.full((2, n, n), 0.1))
-        large_long = Tensor(np.full((2, n, n), 1.0))
+        small = FlowWindow.from_dense(np.full((4, n, n), 0.1))
+        large = FlowWindow.from_dense(np.full((4, n, n), 1.0))
+        small_long = FlowWindow.from_dense(np.full((2, n, n), 0.1))
+        large_long = FlowWindow.from_dense(np.full((2, n, n), 1.0))
         out_small = conv(small, small, small_long, small_long)
         out_large = conv(large, large, large_long, large_long)
         assert (
@@ -52,8 +52,11 @@ class TestFlowConvolutionInit:
         conv = FlowConvolution(n, 4, 2, rng)
         flows = np.zeros((4, n, n))
         flows[:, 0, 1] = 2.0  # the only observed flow: 0 -> 1
-        zero = Tensor(np.zeros((2, n, n)))
-        out = conv(Tensor(flows), Tensor(np.zeros((4, n, n))), zero, zero)
+        zero = FlowWindow.from_dense(np.zeros((2, n, n)))
+        out = conv(
+            FlowWindow.from_dense(flows), FlowWindow.from_dense(np.zeros((4, n, n))),
+            zero, zero,
+        )
         graph = build_fcg(out)
         assert graph.mask[0, 1]  # inflow I_hat[0,1] > 0 => edge 1 -> 0
         assert not graph.mask[3, 4]  # no flow, no edge

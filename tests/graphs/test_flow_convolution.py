@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data.window import FlowWindow
 from repro.graphs import FlowConvolution
 from repro.tensor import Tensor
 
@@ -14,10 +15,10 @@ def flow_conv(rng):
 
 def windows(rng, n=5, k=6, d=3):
     return (
-        Tensor(rng.poisson(2.0, size=(k, n, n)).astype(float)),
-        Tensor(rng.poisson(2.0, size=(k, n, n)).astype(float)),
-        Tensor(rng.poisson(2.0, size=(d, n, n)).astype(float)),
-        Tensor(rng.poisson(2.0, size=(d, n, n)).astype(float)),
+        FlowWindow.from_dense(rng.poisson(2.0, size=(k, n, n)).astype(float)),
+        FlowWindow.from_dense(rng.poisson(2.0, size=(k, n, n)).astype(float)),
+        FlowWindow.from_dense(rng.poisson(2.0, size=(d, n, n)).astype(float)),
+        FlowWindow.from_dense(rng.poisson(2.0, size=(d, n, n)).astype(float)),
     )
 
 

@@ -14,6 +14,7 @@ import pytest
 from repro.core import STGNNDJD
 from repro.core.aggregators import FlowAggregator, MaxAggregator, MeanAggregator
 from repro.core.gnn import FlowGNN, PatternGNN, _AttentionLayer
+from repro.data.window import FlowWindow
 from repro.graphs import FlowConvolution, PatternCorrelationGraph, build_fcg
 from repro.nn import (
     ELU,
@@ -69,9 +70,11 @@ def case_linear_no_bias(rng):
 
 @case
 def case_conv1x1(rng):
+    # The window is data (no gradient); the scale and ReLU are fused.
     layer = Conv1x1(6, (4, 4), rng)
-    x = _input(rng, 6, 4, 4)
-    return [layer], lambda: layer(x())
+    layer.bias.data = rng.normal(size=(4, 4))
+    x = FlowWindow.from_dense(rng.poisson(0.7, size=(6, 4, 4)).astype(float))
+    return [layer], lambda: layer(x, scale=0.3, relu=True)
 
 
 @case
@@ -195,18 +198,13 @@ def case_attention_layer(rng):
 @case
 def case_flow_convolution(rng):
     conv = FlowConvolution(5, 8, 3, rng)
-    short_in = rng.uniform(size=(8, 5, 5))
-    short_out = rng.uniform(size=(8, 5, 5))
-    long_in = rng.uniform(size=(3, 5, 5))
-    long_out = rng.uniform(size=(3, 5, 5))
+    short_in, short_out, long_in, long_out = (
+        FlowWindow.from_dense(rng.poisson(0.8, size=(c, 5, 5)).astype(float))
+        for c in (8, 8, 3, 3)
+    )
 
     def call():
-        out = conv(
-            Tensor(short_in, requires_grad=True),
-            Tensor(short_out, requires_grad=True),
-            Tensor(long_in, requires_grad=True),
-            Tensor(long_out, requires_grad=True),
-        )
+        out = conv(short_in, short_out, long_in, long_out, scale=0.4)
         return out.node_features, out.temporal_inflow, out.temporal_outflow
 
     return [conv], call
@@ -217,18 +215,13 @@ def case_fcg_pipeline(rng):
     """FlowConvolution -> build_fcg -> FlowGNN, the full FCG branch."""
     conv = FlowConvolution(5, 8, 3, rng)
     gnn = FlowGNN(5, 2, rng)
-    short_in = rng.uniform(size=(8, 5, 5))
-    short_out = rng.uniform(size=(8, 5, 5))
-    long_in = rng.uniform(size=(3, 5, 5))
-    long_out = rng.uniform(size=(3, 5, 5))
+    short_in, short_out, long_in, long_out = (
+        FlowWindow.from_dense(rng.poisson(0.8, size=(c, 5, 5)).astype(float))
+        for c in (8, 8, 3, 3)
+    )
 
     def call():
-        out = conv(
-            Tensor(short_in, requires_grad=True),
-            Tensor(short_out, requires_grad=True),
-            Tensor(long_in, requires_grad=True),
-            Tensor(long_out, requires_grad=True),
-        )
+        out = conv(short_in, short_out, long_in, long_out, scale=0.4)
         graph = build_fcg(out)
         return gnn(graph), graph.weights
 

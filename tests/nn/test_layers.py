@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data.window import FlowWindow
 from repro.nn import Conv1x1, Dropout, LayerNorm, Linear
 from repro.tensor import Tensor
 
@@ -38,27 +39,31 @@ class TestLinear:
 class TestConv1x1:
     def test_forward_is_channel_weighted_sum(self, rng):
         conv = Conv1x1(channels=4, field_shape=(3, 3), rng=rng)
-        x = rng.normal(size=(4, 3, 3))
-        out = conv(Tensor(x))
-        expected = np.tensordot(conv.weight.data, x, axes=(0, 0)) + conv.bias.data
+        x = rng.poisson(1.0, size=(4, 3, 3)).astype(float)
+        out = conv(FlowWindow.from_dense(x), scale=0.5)
+        expected = (
+            np.tensordot(conv.weight.data, 0.5 * x, axes=(0, 0)) + conv.bias.data
+        )
         np.testing.assert_allclose(out.data, expected)
 
     def test_wrong_channel_count_rejected(self, rng):
         conv = Conv1x1(channels=4, field_shape=(3, 3), rng=rng)
         with pytest.raises(ValueError):
-            conv(Tensor(np.zeros((5, 3, 3))))
+            conv(FlowWindow.from_dense(np.zeros((5, 3, 3))))
 
     def test_wrong_field_shape_rejected(self, rng):
         conv = Conv1x1(channels=4, field_shape=(3, 3), rng=rng)
         with pytest.raises(ValueError):
-            conv(Tensor(np.zeros((4, 2, 3))))
+            conv(FlowWindow.from_dense(np.zeros((4, 2, 2))))
 
     def test_gradcheck_weight(self, rng):
         conv = Conv1x1(channels=3, field_shape=(2, 2), rng=rng)
-        x = rng.normal(size=(3, 2, 2))
-        conv(Tensor(x)).sum().backward()
-        # d(sum)/dW[c] = sum of channel c of x.
-        np.testing.assert_allclose(conv.weight.grad, x.sum(axis=(1, 2)), atol=1e-10)
+        x = rng.poisson(2.0, size=(3, 2, 2)).astype(float)
+        conv(FlowWindow.from_dense(x), scale=0.25).sum().backward()
+        # d(sum)/dW[c] = scale * sum of channel c of x.
+        np.testing.assert_allclose(
+            conv.weight.grad, 0.25 * x.sum(axis=(1, 2)), atol=1e-10
+        )
         np.testing.assert_allclose(conv.bias.grad, np.ones((2, 2)))
 
     def test_needs_positive_channels(self):

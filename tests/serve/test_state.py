@@ -1,10 +1,13 @@
 """Unit tests for the incremental flow-state store."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.data.records import TripRecord
 from repro.serve import FlowStateConfig, FlowStateStore, LateEventError
+from tests.windows import assert_sample_windows_equal
 
 
 def _config(**overrides):
@@ -174,10 +177,7 @@ class TestSample:
         store = FlowStateStore.from_dataset(tiny_dataset, frontier=t)
         ours, theirs = store.sample(), tiny_dataset.sample(t)
         assert ours.t == theirs.t == t
-        np.testing.assert_array_equal(ours.short_inflow, theirs.short_inflow)
-        np.testing.assert_array_equal(ours.short_outflow, theirs.short_outflow)
-        np.testing.assert_array_equal(ours.long_inflow, theirs.long_inflow)
-        np.testing.assert_array_equal(ours.long_outflow, theirs.long_outflow)
+        assert_sample_windows_equal(ours, theirs)
 
     def test_windows_follow_the_frontier(self, tiny_dataset):
         t = tiny_dataset.min_history + 2
@@ -187,9 +187,9 @@ class TestSample:
         ours = store.sample()
         # Slot t was never ingested online, so it reads as zeros; all
         # other window rows must match the dataset exactly.
-        np.testing.assert_array_equal(ours.short_inflow[:-1],
-                                      reference.short_inflow[:-1])
-        assert ours.short_inflow[-1].sum() == 0.0
+        np.testing.assert_array_equal(ours.short_inflow.dense()[:-1],
+                                      reference.short_inflow.dense()[:-1])
+        assert ours.short_inflow.dense()[-1].sum() == 0.0
 
     def test_targets_are_zero(self, tiny_dataset):
         store = FlowStateStore.from_dataset(tiny_dataset)
@@ -206,3 +206,33 @@ class TestSample:
         assert not store.warmed_up
         store.advance_to(50 + config.horizon)
         assert store.warmed_up
+
+
+class TestSparseFootprint:
+    def test_retained_memory_grows_with_entries_not_stations_squared(self):
+        # A paper-scale store: 571 stations, 15-minute slots, k = 96,
+        # d = 7, so 673 retained slots. Dense (capacity, n, n) float64
+        # rings would hold 2 * 673 * 571**2 * 8 bytes = 3.5 GB; sparse
+        # slots hold a few tens of bytes per trip.
+        config = FlowStateConfig(num_stations=571)
+        rng = np.random.default_rng(0)
+
+        def retained_after(trips: int) -> int:
+            starts = np.sort(rng.integers(0, config.horizon + 1, size=trips))
+            starts = (starts * config.slot_seconds + 1.0).tolist()
+            cells = rng.integers(0, 571, size=(trips, 2)).tolist()
+            tracemalloc.start()
+            try:
+                store = FlowStateStore(config)
+                for start, (origin, destination) in zip(starts, cells):
+                    store.ingest_event(origin, destination, start, start + 600.0)
+                store.advance_to(config.horizon + 1)
+                store.sample()  # fold every window slot into canonical form
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        small, large = retained_after(2_000), retained_after(20_000)
+        per_trip = (large - small) / 18_000
+        assert large < 8 * 2**20  # vs ~3.5 GB dense
+        assert 8 <= per_trip <= 400  # grows with trips, by bytes per trip

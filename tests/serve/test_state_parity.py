@@ -3,17 +3,23 @@
 Property test over randomized event streams — including out-of-order
 delivery within the retained horizon, trips still in transit at the
 window edge, dirty negative-duration records, and slot-boundary
-rollover — asserting that :class:`FlowStateStore`'s retained slots are
-**bitwise** equal to :func:`build_flow_tensors` over the same history.
+rollover — asserting that :class:`FlowStateStore`'s retained slots,
+densified, are **bitwise** equal to :func:`build_flow_tensors` over the
+same history, and that its sparse windows equal a
+:class:`BikeShareDataset`'s canonical windows entry for entry.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import STGNNDJD, STGNNDJDConfig
+from repro.data import BikeShareDataset, FlowDataConfig, Station, StationRegistry
 from repro.data.flows import build_flow_tensors
 from repro.data.records import TripRecord
 from repro.serve import FlowStateConfig, FlowStateStore
+from repro.tensor import inference_mode
+from tests.windows import assert_sample_windows_equal
 
 SLOT = 1800.0  # 30-minute slots keep slots_per_day (48) honest but small
 
@@ -98,11 +104,64 @@ def test_sample_windows_match_batch_dataset_windows(stream):
 
     sample = store.sample()
     t, k, spd = num_slots, short_window, config.slots_per_day
-    np.testing.assert_array_equal(sample.short_inflow, batch_inflow[t - k : t])
-    np.testing.assert_array_equal(sample.short_outflow, batch_outflow[t - k : t])
+    np.testing.assert_array_equal(sample.short_inflow.dense(), batch_inflow[t - k : t])
+    np.testing.assert_array_equal(
+        sample.short_outflow.dense(), batch_outflow[t - k : t]
+    )
     long_slots = np.arange(t - long_days * spd, t, spd)
-    np.testing.assert_array_equal(sample.long_inflow, batch_inflow[long_slots])
-    np.testing.assert_array_equal(sample.long_outflow, batch_outflow[long_slots])
+    np.testing.assert_array_equal(sample.long_inflow.dense(), batch_inflow[long_slots])
+    np.testing.assert_array_equal(
+        sample.long_outflow.dense(), batch_outflow[long_slots]
+    )
+
+
+@given(event_streams())
+@settings(max_examples=30, deadline=None)
+def test_sample_windows_equal_dataset_canonical_windows(stream):
+    """The store and the dataset build the same canonical COO windows for
+    the same slots, so the model's forward on either is bitwise equal."""
+    num_stations, num_slots, trips, short_window, long_days = stream
+    config = FlowStateConfig(
+        num_stations=num_stations,
+        slot_seconds=SLOT,
+        short_window=short_window,
+        long_days=long_days,
+    )
+    if num_slots < config.horizon:
+        return  # not enough history for a full window; nothing to check
+    store = FlowStateStore(config)
+    for trip in trips:
+        store.ingest(trip)
+    store.advance_to(num_slots)
+
+    # The dataset needs whole days and t < T: pad with empty slots
+    # after t (no window reads them).
+    spd = config.slots_per_day
+    padded = (num_slots // spd + 1) * spd
+    inflow, outflow = build_flow_tensors(trips, num_stations, padded, SLOT)
+    registry = StationRegistry([Station(i, 0.01 * i, 0.0) for i in range(num_stations)])
+    dataset = BikeShareDataset(
+        registry, inflow, outflow,
+        FlowDataConfig(slot_seconds=SLOT, short_window=short_window,
+                       long_days=long_days),
+    )
+    ours, theirs = store.sample(), dataset.sample(num_slots)
+    assert_sample_windows_equal(ours, theirs)
+
+    model = STGNNDJD(
+        STGNNDJDConfig(
+            num_stations=num_stations, short_window=short_window,
+            long_days=long_days, fcg_layers=1, pcg_layers=1, num_heads=1,
+            dropout=0.0, flow_scale=3.0,
+        ),
+        rng=np.random.default_rng(num_slots),
+    )
+    model.eval()
+    with inference_mode():
+        served = model(ours)
+        offline = model(theirs)
+    for a, b in zip(served, offline):
+        assert np.array_equal(a.data, b.data)
 
 
 def test_interleaved_ingest_and_rollover_matches_batch():

@@ -351,37 +351,46 @@ class TestFusedOpGrads:
         )
         np.testing.assert_allclose(fused, unfused, rtol=0, atol=0)
 
-    def test_conv1x1_fused_relu_weight_and_input(self):
-        x = RNG.normal(size=(4, 3, 3))
+    def _window(self, channels=4, n=3):
+        dense = RNG.poisson(1.5, size=(channels, n, n)).astype(float)
+        channel, cell = np.nonzero(dense.reshape(channels, -1))
+        return dense, channel, cell, dense.reshape(channels, -1)[channel, cell]
+
+    def test_conv1x1_fused_relu_weight_and_bias(self):
+        dense, channel, index, count = self._window()
         w = RNG.normal(size=4)
         b = RNG.normal(size=(3, 3))
-
-        def fn_tensor(t):
-            return ops.conv1x1(t, Tensor(w), Tensor(b), relu=True).sum()
-
-        def fn_numpy(a):
-            pre = np.tensordot(w, a, axes=1) + b
-            return (pre * (pre > 0)).sum()
-
-        check(fn_tensor, fn_numpy, x.copy())
+        scale = 0.4
 
         def fn_tensor_w(t):
-            return ops.conv1x1(Tensor(x), t, Tensor(b), relu=True).sum()
+            return ops.sparse_conv1x1(
+                channel, index, count, t, Tensor(b), scale=scale, relu=True
+            ).sum()
 
         def fn_numpy_w(a):
-            pre = np.tensordot(a, x, axes=1) + b
+            pre = np.tensordot(a, scale * dense, axes=1) + b
             return (pre * (pre > 0)).sum()
 
         check(fn_tensor_w, fn_numpy_w, w.copy())
 
+        def fn_tensor_b(t):
+            return ops.sparse_conv1x1(
+                channel, index, count, Tensor(w), t, scale=scale, relu=True
+            ).sum()
+
+        def fn_numpy_b(a):
+            pre = np.tensordot(w, scale * dense, axes=1) + a
+            return (pre * (pre > 0)).sum()
+
+        check(fn_tensor_b, fn_numpy_b, b.copy())
+
     def test_conv1x1_leaf_input_gets_no_gradient_compute(self):
-        # Windows fed to conv1x1 are constants; backward must return
-        # None for them (skipping the largest array of the pass) while
-        # still producing weight/bias gradients.
-        x = Tensor(RNG.normal(size=(4, 3, 3)))  # requires_grad=False
+        # The window is data, not a Tensor: backward returns gradients
+        # for the weight and bias only.
+        _, channel, index, count = self._window()
         w = Tensor(RNG.normal(size=4), requires_grad=True)
         b = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
-        out = ops.conv1x1(x, w, b, relu=True)
+        out = ops.sparse_conv1x1(channel, index, count, w, b, relu=True)
+        assert len(out._parents) == 2
         out.sum().backward()
-        assert x.grad is None
         assert w.grad is not None and b.grad is not None
