@@ -17,12 +17,15 @@ charts how the substrate behaves as the city grows to that size:
 Gates (asserted by the parent, ``--smoke`` included): every size's
 served forecast equals the offline forward bitwise, and peak RSS at
 n=571 must stay below 4x the n=300 peak. The large terms grow at most
-quadratically: the dataset's dense ``(T, n, n)`` flow tensors and the
-dense FCG/PCG matrices (flow windows are sparse and grow with trips).
-Pure quadratic growth gives (571/300)^2 ~= 3.62x, and the fixed
-interpreter/numpy baseline pulls the measured ratio below that. A ratio
-of 4x or more means something grows faster than n^2, such as an
-``(n, n, f)`` cube or a per-size copy kept alive.
+quadratically: the dense FCG/PCG and attention matrices of a forward
+and the ``(n, n)`` activations a training step's autograd tape holds.
+Flows have no ``n^2`` term: the dataset and the store keep canonical
+sparse slots, which grow with trips (linearly in ``n`` here, as trips
+per station are fixed). Pure quadratic growth gives (571/300)^2 ~=
+3.62x, and the fixed interpreter/numpy baseline and the linear terms
+pull the measured ratio below that. A ratio of 4x or more means
+something grows faster than n^2, such as an ``(n, n, f)`` cube or a
+per-size copy kept alive.
 
 Results go to ``BENCH_scale.json`` at the repo root.
 

@@ -46,7 +46,7 @@ from repro.core.persistence import load_stgnn, save_checkpoint, save_training_sn
 from repro.core.trainer import Trainer, TrainingConfig
 from repro.data.cleaning import clean_trips
 from repro.data.dataset import BikeShareDataset, FlowDataConfig
-from repro.data.flows import build_flow_tensors
+from repro.data.flows import build_flow_slots
 from repro.data.synthetic import SyntheticCityConfig, build_city, generate_trips
 from repro.obs.events import JsonlExporter, read_events, sink_scope
 from repro.obs.quality import QualityConfig
@@ -97,7 +97,7 @@ def main() -> int:
     # Offline: train on the first ten days, deploy the checkpoint.
     # ------------------------------------------------------------------
     warmup_trips = [t for t in clean if t.start_slot(slot_seconds) < warmup_slots]
-    inflow, outflow = build_flow_tensors(warmup_trips, n, warmup_slots, slot_seconds)
+    inflow, outflow = build_flow_slots(warmup_trips, n, warmup_slots, slot_seconds)
     warmup = BikeShareDataset(
         city.registry, inflow, outflow,
         FlowDataConfig(

@@ -10,7 +10,7 @@ dirty records), then pretends it's foreign data:
 1. read stations.csv / trips.csv;
 2. clean abnormal records (negative durations, >24h trips, unknown
    stations) and print the cleaning report, per paper Sec. VII-A;
-3. slot the trips into inflow/outflow matrices;
+3. slot the trips into inflow/outflow matrices (canonical sparse slots);
 4. assemble a ``BikeShareDataset`` and train a small model on it.
 """
 
@@ -26,7 +26,7 @@ from repro.data import (
     FlowDataConfig,
     SyntheticCityConfig,
     build_city,
-    build_flow_tensors,
+    build_flow_slots,
     clean_trips,
     generate_trips,
     read_stations_csv,
@@ -72,7 +72,7 @@ def main() -> None:
         print(f"  {rule:<20} {count}")
 
     num_slots = config.days * config.slots_per_day
-    inflow, outflow = build_flow_tensors(
+    inflow, outflow = build_flow_slots(
         clean, len(registry), num_slots, config.slot_seconds
     )
     dataset = BikeShareDataset(

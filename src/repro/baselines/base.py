@@ -164,7 +164,10 @@ def interaction_adjacency(dataset: BikeShareDataset) -> np.ndarray:
     """Aggregate-flow adjacency over the training split (ride volume)."""
     train_idx, _, _ = dataset.split_indices()
     end = train_idx[-1] + 1
-    volume = dataset.outflow[:end].sum(axis=0) + dataset.inflow[:end].sum(axis=0).T
+    volume = (
+        dataset.outflow_slots.window(0, end).total()
+        + dataset.inflow_slots.window(0, end).total().T
+    )
     total = volume.max()
     adjacency = volume / total if total > 0 else volume
     np.fill_diagonal(adjacency, 0.0)

@@ -6,23 +6,30 @@ bridge from :class:`~repro.serve.state.FlowStateStore` back into the
 offline training stack:
 
 * :func:`extract_training_dataset` pulls a day-aligned multi-day window
-  through ``history_window()`` — finalized slots only, **bitwise equal**
-  to what :func:`repro.data.flows.build_flow_tensors` would produce from
-  the same trip log (the store's equivalence guarantee) — and wraps it
-  in a :class:`~repro.data.dataset.BikeShareDataset` whose normalizers
-  are *pinned to the deployment's scalers* rather than refitted, so the
+  of canonical slots through ``history_slots()`` — finalized slots only,
+  **bitwise equal** to what :func:`repro.data.flows.build_flow_slots`
+  would produce from the same trip log (the store's equivalence
+  guarantee) — and hands them, as they are, to a
+  :class:`~repro.data.dataset.BikeShareDataset` whose normalizers are
+  *pinned to the deployment's scalers* rather than refitted, so the
   candidate model trains in the same input space the live model serves
   in.
 * :func:`holdback_samples` assembles :class:`FlowSample` bundles for
   the most recent finalized slots — the held-back span the shadow
-  evaluation scores candidate vs. live on. These slots sit *after* the
-  training window's end, so the candidate is never evaluated on data it
-  just trained on.
+  evaluation scores candidate vs. live on — with the dataset's own
+  sampler (:func:`~repro.data.dataset.sample_from_slots`). These slots
+  sit *after* the training window's end, so the candidate is never
+  evaluated on data it just trained on.
 """
 
 from __future__ import annotations
 
-from repro.data.dataset import BikeShareDataset, FlowDataConfig, FlowSample
+from repro.data.dataset import (
+    BikeShareDataset,
+    FlowDataConfig,
+    FlowSample,
+    sample_from_slots,
+)
 from repro.data.normalize import MinMaxNormalizer
 from repro.data.stations import StationRegistry
 
@@ -92,7 +99,7 @@ def extract_training_dataset(
     start, end = window_bounds(
         store, train_days=train_days, holdback_slots=holdback_slots
     )
-    first, inflow, outflow = store.history_window(slots=end - start, end=end)
+    first, inflow, outflow = store.history_slots(slots=end - start, end=end)
     assert first == start
     config = FlowDataConfig(
         slot_seconds=store.config.slot_seconds,
@@ -118,17 +125,14 @@ def holdback_samples(store, holdback_slots: int) -> list[FlowSample]:
 
     Each returned :class:`FlowSample` carries the *absolute* store slot
     in ``t``; its windows and targets come from one ``history_slots()``
-    read, built exactly as :meth:`BikeShareDataset.sample` builds them
-    from its slot CSR, so they share the store's equivalence with the
-    batch tensors. Raises :class:`InsufficientHistoryError` when the
-    retained history cannot back the deepest sample's windows.
+    read, built by the sampler :meth:`BikeShareDataset.sample` uses, so
+    they share the store's equivalence with the batch slots. Raises
+    :class:`InsufficientHistoryError` when the retained history cannot
+    back the deepest sample's windows.
     """
     if holdback_slots < 1:
         raise ValueError(f"holdback_slots must be >= 1, got {holdback_slots}")
-    cfg = store.config
-    k = cfg.short_window
-    spd = cfg.slots_per_day
-    depth = cfg.horizon + holdback_slots
+    depth = store.config.horizon + holdback_slots
     end = store.frontier
     if end - depth < 0 or end - depth < store.oldest_retained:
         raise InsufficientHistoryError(
@@ -136,21 +140,10 @@ def holdback_samples(store, holdback_slots: int) -> list[FlowSample]:
             f"store retains [{store.oldest_retained}, {end})"
         )
     first, inflow, outflow = store.history_slots(slots=depth, end=end)
-    demand = outflow.row_sums()
-    supply = inflow.row_sums()
-    samples = []
-    for t in range(end - holdback_slots, end):
-        i = t - first
-        long_start = i - cfg.long_days * spd
-        samples.append(
-            FlowSample(
-                t=t,
-                short_inflow=inflow.window(i - k, i),
-                short_outflow=outflow.window(i - k, i),
-                long_inflow=inflow.window(long_start, i, spd),
-                long_outflow=outflow.window(long_start, i, spd),
-                target_demand=demand[i],
-                target_supply=supply[i],
-            )
+    demand, supply = outflow.row_sums(), inflow.row_sums()
+    return [
+        sample_from_slots(
+            inflow, outflow, demand, supply, t - first, store.config, t=t
         )
-    return samples
+        for t in range(end - holdback_slots, end)
+    ]

@@ -1,14 +1,16 @@
 """Bike-share data substrate: records, stations, cleaning, flows, datasets.
 
-The full pipeline is ``trips → clean_trips → build_flow_tensors →
-BikeShareDataset``; :func:`generate_city` runs it end-to-end from the
+The full pipeline is ``trips → clean_trips → build_flow_slots →
+BikeShareDataset``. Flows stay canonical per-slot COO entries
+(:class:`FlowSlots`) all the way; no stage builds a dense ``(T, n, n)``
+tensor. :func:`generate_city` runs the pipeline end-to-end from the
 synthetic city model that substitutes for the paper's Divvy/Metro data.
 """
 
 from repro.data.records import MAX_TRIP_SECONDS, SECONDS_PER_DAY, TripRecord
 from repro.data.stations import EARTH_RADIUS_KM, Station, StationRegistry, haversine_km
 from repro.data.cleaning import CleaningReport, clean_trips
-from repro.data.flows import build_flow_tensors, demand_supply
+from repro.data.flows import build_flow_slots
 from repro.data.normalize import MinMaxNormalizer
 from repro.data.window import FlowSlots, FlowWindow, canonical_entries
 from repro.data.dataset import BikeShareDataset, FlowDataConfig, FlowSample
@@ -41,8 +43,7 @@ __all__ = [
     "EARTH_RADIUS_KM",
     "CleaningReport",
     "clean_trips",
-    "build_flow_tensors",
-    "demand_supply",
+    "build_flow_slots",
     "MinMaxNormalizer",
     "BikeShareDataset",
     "FlowDataConfig",

@@ -1,9 +1,9 @@
 """The central dataset object: slotted flows plus windowed sampling.
 
-``BikeShareDataset`` holds the full ``(T, n, n)`` inflow/outflow tensors
-for a city, their canonical per-slot COO entries
-(:class:`repro.data.window.FlowSlots`, see DESIGN "Sparse flow
-windows"), and exposes exactly what STGNN-DJD consumes at a prediction
+``BikeShareDataset`` holds a city's inflow/outflow as canonical per-slot
+COO entries (:class:`repro.data.window.FlowSlots`, see DESIGN "Sparse
+flow windows") — the one flow format, never a dense ``(T, n, n)``
+tensor — and exposes exactly what STGNN-DJD consumes at a prediction
 time ``t`` (paper Sec. IV-A):
 
 * the *short-term* window — flow matrices of the last ``k`` slots,
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.flows import demand_supply
 from repro.data.normalize import MinMaxNormalizer
 from repro.data.records import SECONDS_PER_DAY
 from repro.data.stations import StationRegistry
@@ -95,57 +94,90 @@ class FlowSample:
     target_supply: np.ndarray  # (n,)
 
 
+def sample_from_slots(
+    inflow: FlowSlots,
+    outflow: FlowSlots,
+    demand: np.ndarray,
+    supply: np.ndarray,
+    i: int,
+    config,
+    t: int | None = None,
+) -> FlowSample:
+    """The :class:`FlowSample` predicting slot ``i`` of a run of slots.
+
+    ``demand``/``supply`` are the slots' row sums; ``config`` supplies
+    ``short_window``, ``long_days`` and ``slots_per_day``; ``t`` labels
+    the sample (default ``i``). A short window is a slice of the CSR,
+    a long window stacks its ``d`` strided slots.
+    """
+    k = config.short_window
+    spd = config.slots_per_day
+    long_start = i - config.long_days * spd
+    return FlowSample(
+        t=i if t is None else t,
+        short_inflow=inflow.window(i - k, i),
+        short_outflow=outflow.window(i - k, i),
+        long_inflow=inflow.window(long_start, i, spd),
+        long_outflow=outflow.window(long_start, i, spd),
+        target_demand=demand[i],
+        target_supply=supply[i],
+    )
+
+
 class BikeShareDataset:
     """Slotted bike-share flows for one city."""
 
     def __init__(
         self,
         registry: StationRegistry,
-        inflow: np.ndarray,
-        outflow: np.ndarray,
+        inflow: FlowSlots,
+        outflow: FlowSlots,
         config: FlowDataConfig,
         name: str = "",
     ) -> None:
-        inflow = np.asarray(inflow, dtype=np.float64)
-        outflow = np.asarray(outflow, dtype=np.float64)
-        if inflow.shape != outflow.shape:
+        if inflow.num_slots != outflow.num_slots:
             raise ValueError(
-                f"inflow shape {inflow.shape} != outflow shape {outflow.shape}"
+                f"inflow has {inflow.num_slots} slots, outflow {outflow.num_slots}"
             )
-        if inflow.ndim != 3 or inflow.shape[1] != inflow.shape[2]:
-            raise ValueError(f"flow tensors must be (T, n, n), got {inflow.shape}")
-        if inflow.shape[1] != len(registry):
+        for flows in (inflow, outflow):
+            if flows.num_stations != len(registry):
+                raise ValueError(
+                    f"flow slots have {flows.num_stations} stations, "
+                    f"registry has {len(registry)}"
+                )
+        if inflow.num_slots % config.slots_per_day != 0:
             raise ValueError(
-                f"flow tensors have {inflow.shape[1]} stations, registry has {len(registry)}"
-            )
-        if inflow.shape[0] % config.slots_per_day != 0:
-            raise ValueError(
-                f"{inflow.shape[0]} slots is not a whole number of "
+                f"{inflow.num_slots} slots is not a whole number of "
                 f"{config.slots_per_day}-slot days"
             )
         self.registry = registry
-        self.inflow = inflow
-        self.outflow = outflow
+        #: Canonical per-slot COO entries, the source of every window.
+        self.inflow_slots = inflow
+        self.outflow_slots = outflow
         self.config = config
         self.name = name
-        self.demand, self.supply = demand_supply(inflow, outflow)
+        self.demand = outflow.row_sums()
+        self.supply = inflow.row_sums()
         self._demand_normalizer: MinMaxNormalizer | None = None
         self._supply_normalizer: MinMaxNormalizer | None = None
         self._flow_scale: float | None = None
-        #: Canonical per-slot COO entries, the source of every window.
-        self.inflow_slots = FlowSlots.from_dense(inflow)
-        self.outflow_slots = FlowSlots.from_dense(outflow)
+
+    @property
+    def outflow(self) -> np.ndarray:
+        """The dense ``(T, n, n)`` outflow, rebuilt from the slots on
+        every read (a fresh copy: editing it changes nothing here)."""
+        return self.outflow_slots.dense()
 
     # ------------------------------------------------------------------
     # Dimensions
     # ------------------------------------------------------------------
     @property
     def num_stations(self) -> int:
-        return self.inflow.shape[1]
+        return self.inflow_slots.num_stations
 
     @property
     def num_slots(self) -> int:
-        return self.inflow.shape[0]
+        return self.inflow_slots.num_slots
 
     @property
     def slots_per_day(self) -> int:
@@ -201,28 +233,18 @@ class BikeShareDataset:
     def sample(self, t: int) -> FlowSample:
         """Assemble the model input for prediction time ``t``.
 
-        The short window's entries are a slice of the slot CSR; the long
-        window stacks its ``d`` strided slots. Both are read-only and
-        equal, entry for entry, to the windows a
-        :class:`repro.serve.state.FlowStateStore` holding the same slots
-        serves.
+        Windows are read-only and equal, entry for entry, to the windows
+        a :class:`repro.serve.state.FlowStateStore` holding the same
+        slots serves.
         """
         if not self.min_history <= t < self.num_slots:
             raise IndexError(
                 f"t={t} outside the sampleable range "
                 f"[{self.min_history}, {self.num_slots})"
             )
-        k = self.config.short_window
-        spd = self.slots_per_day
-        long_start = t - self.config.long_days * spd
-        return FlowSample(
-            t=t,
-            short_inflow=self.inflow_slots.window(t - k, t),
-            short_outflow=self.outflow_slots.window(t - k, t),
-            long_inflow=self.inflow_slots.window(long_start, t, spd),
-            long_outflow=self.outflow_slots.window(long_start, t, spd),
-            target_demand=self.demand[t],
-            target_supply=self.supply[t],
+        return sample_from_slots(
+            self.inflow_slots, self.outflow_slots, self.demand, self.supply,
+            t, self.config,
         )
 
     # ------------------------------------------------------------------
@@ -233,8 +255,8 @@ class BikeShareDataset:
         self._demand_normalizer = MinMaxNormalizer().fit(self.demand[train])
         self._supply_normalizer = MinMaxNormalizer().fit(self.supply[train])
         train_flow_max = max(
-            float(self.inflow[: train[-1] + 1].max()),
-            float(self.outflow[: train[-1] + 1].max()),
+            float(flows.count[: flows.indptr[train[-1] + 1]].max(initial=0.0))
+            for flows in (self.inflow_slots, self.outflow_slots)
         )
         self._flow_scale = train_flow_max if train_flow_max > 0 else 1.0
 

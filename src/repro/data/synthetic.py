@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.data.cleaning import clean_trips
 from repro.data.dataset import BikeShareDataset, FlowDataConfig
-from repro.data.flows import build_flow_tensors
+from repro.data.flows import build_flow_slots
 from repro.data.records import SECONDS_PER_DAY, TripRecord
 from repro.data.stations import Station, StationRegistry
 
@@ -565,7 +565,7 @@ def generate_city(
     trips = generate_trips(city, seed)
     clean, _report = clean_trips(trips, config.num_stations)
     num_slots = config.days * config.slots_per_day
-    inflow, outflow = build_flow_tensors(
+    inflow, outflow = build_flow_slots(
         clean, config.num_stations, num_slots, config.slot_seconds
     )
     data_config = FlowDataConfig(

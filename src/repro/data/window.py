@@ -9,7 +9,8 @@ never as dense ``(k, n, n)`` stacks:
 * a slot is a pair of parallel arrays: the flat cell index
   ``origin * n + destination`` and the float64 count in that cell;
 * :class:`FlowSlots` holds a run of slots as CSR (one ``indptr`` over
-  slots), the layout :class:`repro.data.dataset.BikeShareDataset` keeps;
+  slots), the one flow format :class:`repro.data.dataset.BikeShareDataset`
+  keeps (:func:`repro.data.flows.build_flow_slots` builds it from trips);
 * :class:`FlowWindow` is a model input: the slots of one short- or
   long-term window, each entry tagged with its ``channel`` (position in
   the window, oldest first).
@@ -117,11 +118,15 @@ class FlowWindow:
         )
         return flat.reshape(self.channels, n)
 
-    def mean(self) -> np.ndarray:
-        """The ``(n, n)`` mean over channels, ``dense().mean(axis=0)``."""
+    def total(self) -> np.ndarray:
+        """The ``(n, n)`` sum over channels, ``dense().sum(axis=0)``."""
         n = self.num_stations
         total = np.bincount(self.index, weights=self.count, minlength=n * n)
-        return total.reshape(n, n) / self.channels
+        return total.reshape(n, n)
+
+    def mean(self) -> np.ndarray:
+        """The ``(n, n)`` mean over channels, ``dense().mean(axis=0)``."""
+        return self.total() / self.channels
 
 
 class FlowSlots:
@@ -148,17 +153,31 @@ class FlowSlots:
         self.num_stations = num_stations
 
     @classmethod
-    def from_dense(cls, flows: np.ndarray) -> "FlowSlots":
-        """Canonical slots of a dense ``(T, n, n)`` flow tensor."""
-        num_slots, n = flows.shape[0], flows.shape[1]
-        cells = n * n
-        flat = flows.reshape(num_slots, cells)
-        slot, cell = np.nonzero(flat)
-        keys, count = canonical_entries(slot * cells + cell, flat[slot, cell])
+    def from_keys(
+        cls,
+        keys: np.ndarray,
+        num_slots: int,
+        num_stations: int,
+        counts: np.ndarray | None = None,
+    ) -> "FlowSlots":
+        """Canonical slots of flat ``slot * n * n + cell`` keys.
+
+        ``counts`` defaults to one per key, as in :func:`canonical_entries`.
+        """
+        cells = num_stations * num_stations
+        keys, count = canonical_entries(keys, counts)
         slot_of = keys // cells
         indptr = np.zeros(num_slots + 1, dtype=np.int64)
         np.cumsum(np.bincount(slot_of, minlength=num_slots), out=indptr[1:])
-        return cls(indptr, keys - slot_of * cells, count, n)
+        return cls(indptr, keys - slot_of * cells, count, num_stations)
+
+    @classmethod
+    def from_dense(cls, flows: np.ndarray) -> "FlowSlots":
+        """Canonical slots of a dense ``(T, n, n)`` flow tensor."""
+        num_slots, n = flows.shape[0], flows.shape[1]
+        flat = flows.reshape(num_slots, n * n)
+        slot, cell = np.nonzero(flat)
+        return cls.from_keys(slot * (n * n) + cell, num_slots, n, flat[slot, cell])
 
     @classmethod
     def from_slots(

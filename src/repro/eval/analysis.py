@@ -55,7 +55,7 @@ def daily_profile(dataset: BikeShareDataset) -> np.ndarray:
 
 def od_matrix(dataset: BikeShareDataset) -> np.ndarray:
     """Total origin-destination trip counts over the window, ``(n, n)``."""
-    return dataset.outflow.sum(axis=0)
+    return dataset.outflow_slots.window(0, dataset.num_slots).total()
 
 
 def od_concentration(dataset: BikeShareDataset, top_fraction: float = 0.1) -> float:

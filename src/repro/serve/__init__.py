@@ -6,8 +6,8 @@ story (Sec. VII-I), built in three layers:
 
 * :mod:`repro.serve.state` — :class:`FlowStateStore` ingests individual
   trip events and incrementally maintains the short-/long-term flow
-  windows the model samples, bitwise-equivalent to the batch
-  :func:`~repro.data.flows.build_flow_tensors` path.
+  windows the model samples, entry for entry equal to the batch
+  :func:`~repro.data.flows.build_flow_slots` path.
 * :mod:`repro.serve.service` — :class:`PredictionService` wraps a
   loaded STGNN-DJD behind the forward-only fast path with request
   micro-batching, bounded-queue backpressure, a per-slot forecast

@@ -1,9 +1,9 @@
 """Incremental flow state for online serving.
 
-The batch pipeline (:func:`repro.data.flows.build_flow_tensors`) folds a
-complete trip log into ``(T, n, n)`` inflow/outflow tensors; a serving
-process cannot afford that — it sees one trip at a time and must keep
-the model's input windows current as the clock rolls over slot
+The batch pipeline (:func:`repro.data.flows.build_flow_slots`) folds a
+complete trip log into canonical inflow/outflow slots in one pass; a
+serving process cannot do that — it sees one trip at a time and must
+keep the model's input windows current as the clock rolls over slot
 boundaries. :class:`FlowStateStore` is the streaming counterpart: it
 ingests individual trip events and maintains exactly the slots that
 STGNN-DJD's sampler reads — the short-term window (last ``k`` slots) and
@@ -40,16 +40,17 @@ Mechanics
 Equivalence guarantee
 ---------------------
 After ingesting a trip log (in any order whose lateness stays within the
-horizon) and advancing to slot ``T``, the retained slots, densified, are
-**bitwise equal** to the corresponding rows of ``build_flow_tensors(trips,
+horizon) and advancing to slot ``T``, each retained slot's canonical
+entries are **bitwise equal** to the same slot of ``build_flow_slots(trips,
 n, T, slot_seconds)``: both count trips in float64, and integer-valued
 float64 sums are exact far beyond any realistic trip count, so the
-accumulation order cannot change a single bit. For the same reason a
-slot's canonical entries equal those
-:class:`repro.data.dataset.BikeShareDataset` builds from the batch
-tensors, so :meth:`FlowStateStore.sample` and ``dataset.sample(t)``
-return equal windows entry for entry. ``tests/serve/test_state_parity.py``
-asserts both over randomized, shuffled, late-heavy event streams.
+accumulation order cannot change a single bit. So
+:meth:`FlowStateStore.history_slots` hands the continual trainer the
+slots a :class:`repro.data.dataset.BikeShareDataset` built offline would
+hold, and :meth:`FlowStateStore.sample` and ``dataset.sample(t)`` return
+equal windows entry for entry. ``tests/serve/test_state_parity.py``
+asserts this over randomized, shuffled, late-heavy event streams against
+a literal per-trip dense oracle.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class FlowStateConfig:
     retained horizon: ``"drop"`` counts and ignores them, ``"error"``
     raises. ``retained_slots`` optionally deepens retention beyond the
     sampling horizon so an online trainer can pull multi-day training
-    windows out of the live store (:meth:`FlowStateStore.history_window`)
+    windows out of the live store (:meth:`FlowStateStore.history_slots`)
     — it never shrinks below :attr:`horizon`.
     """
 
@@ -228,10 +229,10 @@ class FlowStateStore:
         late_policy: str = "drop",
         retained_slots: int | None = None,
     ) -> "FlowStateStore":
-        """Warm-start a store from a dataset's materialized flow history.
+        """Warm-start a store from a dataset's flow slots.
 
         ``frontier`` defaults to ``dataset.num_slots`` — the store picks
-        up exactly where the offline tensors end, with every retained
+        up exactly where the offline slots end, with every retained
         slot already populated, so the first online prediction has full
         windows instead of a zero-padded warm-up.
         """
@@ -439,9 +440,9 @@ class FlowStateStore:
         """Realized per-station ``(demand, supply)`` for a retained slot.
 
         Demand is the station's total outflow, supply its total inflow —
-        the row sums :func:`repro.data.flows.demand_supply` takes of the
-        densified slot, so reconciliation compares forecasts against
-        exactly what the offline evaluation would. Raises
+        the row sums :meth:`repro.data.window.FlowSlots.row_sums` gives a
+        dataset's ``demand``/``supply``, so reconciliation compares
+        forecasts against exactly what the offline evaluation would. Raises
         :class:`IndexError` once the slot has been evicted from the ring.
         """
         slot = int(slot)
@@ -508,22 +509,13 @@ class FlowStateStore:
         with self._lock:
             return self.sample(), self.version
 
-    def retained_tensors(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """``(first_slot, inflow, outflow)`` for every retained slot.
-
-        The arrays are dense ``(m, n, n)`` copies covering slots
-        ``first_slot .. frontier`` inclusive — the view the parity tests
-        compare bitwise against ``build_flow_tensors``.
-        """
+    def retained_flows(self) -> tuple[int, FlowSlots, FlowSlots]:
+        """``(first_slot, inflow, outflow)`` canonical slots of every
+        retained slot, ``first_slot .. frontier`` inclusive: unlike
+        :meth:`history_slots`, the open frontier slot is included."""
         with self._lock:
             first = self.oldest_retained
-            slots = range(first, self._frontier + 1)
-            n = self.config.num_stations
-            return (
-                first,
-                FlowSlots.from_slots(self._entries(self._inflow, slots), n).dense(),
-                FlowSlots.from_slots(self._entries(self._outflow, slots), n).dense(),
-            )
+            return self._flow_slots(range(first, self._frontier + 1))
 
     def history_slots(
         self, slots: int | None = None, end: int | None = None
@@ -534,9 +526,9 @@ class FlowStateStore:
         (exclusive; defaults to the frontier, so the open,
         still-accumulating frontier slot is never included), as the same
         :class:`FlowSlots` a :class:`BikeShareDataset` holds for those
-        slots. Raises :class:`ValueError` when the requested range
-        reaches behind :attr:`oldest_retained` (deepen
-        ``retained_slots`` to keep more).
+        slots — the continual trainer's training window. Raises
+        :class:`ValueError` when the requested range reaches behind
+        :attr:`oldest_retained` (deepen ``retained_slots`` to keep more).
         """
         with self._lock:
             stop = self._frontier if end is None else int(end)
@@ -556,25 +548,12 @@ class FlowStateStore:
                     f"retained slot {self.oldest_retained}; raise "
                     f"FlowStateConfig.retained_slots to keep a deeper history"
                 )
-            span = range(start, stop)
-            n = self.config.num_stations
-            return (
-                start,
-                FlowSlots.from_slots(self._entries(self._inflow, span), n),
-                FlowSlots.from_slots(self._entries(self._outflow, span), n),
-            )
+            return self._flow_slots(range(start, stop))
 
-    def history_window(
-        self, slots: int | None = None, end: int | None = None
-    ) -> tuple[int, np.ndarray, np.ndarray]:
-        """Training-ready ``(first_slot, inflow, outflow)`` flow tensors.
-
-        :meth:`history_slots` densified to ``(m, n, n)`` arrays. Rows
-        are bitwise equal to the corresponding rows of
-        :func:`repro.data.flows.build_flow_tensors` over the same event
-        log — both count trips in float64, where integer sums are exact
-        in any order — so the continual trainer retrains on exactly the
-        tensors the offline pipeline would have built.
-        """
-        first, inflow, outflow = self.history_slots(slots, end)
-        return first, inflow.dense(), outflow.dense()
+    def _flow_slots(self, span: range) -> tuple[int, FlowSlots, FlowSlots]:
+        n = self.config.num_stations
+        return (
+            span.start,
+            FlowSlots.from_slots(self._entries(self._inflow, span), n),
+            FlowSlots.from_slots(self._entries(self._outflow, span), n),
+        )

@@ -26,6 +26,7 @@ from repro.data.records import TripRecord
 from repro.data.synthetic import SyntheticCityConfig, generate_city
 from repro.data.window import FlowWindow
 from repro.serve.state import FlowStateStore
+from tests.flow_oracle import history_window
 
 
 @pytest.fixture(scope="module")
@@ -132,15 +133,13 @@ class TestStoreEvolution:
         store = FlowStateStore.from_dataset(city, retained_slots=80)
         evolution = GraphEvolution(8, (0, 1, 3, 4, 6, 7), 1)
         evolve_flow_store(store, evolution)
-        first, inflow, outflow = store.history_window(slots=40)
+        first, inflow, outflow = history_window(store, 40)
         kept = np.array(evolution.kept)
         window = slice(first, first + 40)
-        assert np.array_equal(
-            inflow[:, :6, :6], city.inflow[window][:, kept][:, :, kept]
-        )
-        assert np.array_equal(
-            outflow[:, :6, :6], city.outflow[window][:, kept][:, :, kept]
-        )
+        city_inflow = city.inflow_slots.dense()[window]
+        city_outflow = city.outflow_slots.dense()[window]
+        assert np.array_equal(inflow[:, :6, :6], city_inflow[:, kept][:, :, kept])
+        assert np.array_equal(outflow[:, :6, :6], city_outflow[:, kept][:, :, kept])
         assert np.all(inflow[:, 6, :] == 0) and np.all(inflow[:, :, 6] == 0)
         assert np.all(outflow[:, 6, :] == 0) and np.all(outflow[:, :, 6] == 0)
 
@@ -155,7 +154,7 @@ class TestStoreEvolution:
         drained = evolve_flow_store(store, GraphEvolution.shrink(8, [2]))
         assert drained == 1.0
         store.advance_to(store.frontier + 4)
-        _, inflow, _ = store.history_window(slots=4)
+        _, inflow, _ = history_window(store, 4)
         # Station 1 kept its in-transit arrival; station 2's is gone.
         assert inflow[:, 1, 0].sum() == 1.0
         assert inflow.sum() == 1.0
@@ -169,7 +168,7 @@ class TestStoreEvolution:
         t0 = store.frontier * slot_seconds
         store.ingest(TripRecord(902, 8, 0, t0 + 1.0, t0 + 2.0))
         store.advance_to(store.frontier + 1)
-        _, inflow, outflow = store.history_window(slots=1)
+        _, inflow, outflow = history_window(store, 1)
         assert outflow[0, 8, 0] == 1.0 and inflow[0, 0, 8] == 1.0
 
 

@@ -1,11 +1,11 @@
 """Extraction bridge: live store history -> training-ready datasets.
 
-The continual loop's candidate must train on exactly the tensors the
+The continual loop's candidate must train on exactly the slots the
 offline pipeline would have built from the same trips, in exactly the
 input space the live model serves in. These tests pin that: extracted
-windows match dataset slices bitwise, pinned normalizers are the
-deployment's scalers (not refit on the window), and holdback samples
-reproduce ``dataset.sample()`` for the same absolute slots.
+slot arrays match the batch builder's bitwise, pinned normalizers are
+the deployment's scalers (not refit on the window), and holdback
+samples reproduce ``dataset.sample()`` for the same absolute slots.
 """
 
 import numpy as np
@@ -17,8 +17,14 @@ from repro.continual import (
     holdback_samples,
     window_bounds,
 )
-from repro.data.synthetic import SyntheticCityConfig, generate_city
-from repro.serve.state import FlowStateStore
+from repro.data import build_flow_slots, clean_trips
+from repro.data.synthetic import (
+    SyntheticCityConfig,
+    build_city,
+    generate_city,
+    generate_trips,
+)
+from repro.serve.state import FlowStateConfig, FlowStateStore
 from tests.windows import assert_sample_windows_equal
 
 
@@ -31,6 +37,21 @@ def city():
 
 def _store(city, retained=9 * 24):
     return FlowStateStore.from_dataset(city, retained_slots=retained)
+
+
+def assert_slot_arrays_equal(ours, theirs, start=0):
+    """``ours`` holds bitwise the slots ``start ..`` of ``theirs``."""
+    lo = theirs.indptr[start]
+    hi = theirs.indptr[start + ours.num_slots]
+    expected = {
+        "indptr": theirs.indptr[start : start + ours.num_slots + 1] - lo,
+        "index": theirs.index[lo:hi],
+        "count": theirs.count[lo:hi],
+    }
+    assert ours.num_stations == theirs.num_stations
+    for field, array in expected.items():
+        actual = getattr(ours, field)
+        assert actual.dtype == array.dtype and np.array_equal(actual, array), field
 
 
 class TestWindowBounds:
@@ -67,9 +88,34 @@ class TestExtractTrainingDataset:
             supply_normalizer=city.supply_normalizer,
             flow_scale=city.flow_scale,
         )
-        end = start + dataset.inflow.shape[0]
-        assert np.array_equal(dataset.inflow, city.inflow[start:end])
-        assert np.array_equal(dataset.outflow, city.outflow[start:end])
+        assert_slot_arrays_equal(dataset.inflow_slots, city.inflow_slots, start)
+        assert_slot_arrays_equal(dataset.outflow_slots, city.outflow_slots, start)
+        assert np.array_equal(dataset.demand, city.demand[start : start + dataset.num_slots])
+
+    def test_streamed_extraction_equals_batch_builder_bitwise(self):
+        """Trips streamed into a cold store extract to the slots
+        ``build_flow_slots`` builds from the same trips."""
+        config = SyntheticCityConfig.tiny(days=10, num_stations=6)
+        synthetic = build_city(config, seed=3)
+        trips, _ = clean_trips(generate_trips(synthetic, seed=3), config.num_stations)
+        num_slots = config.days * config.slots_per_day
+        store = FlowStateStore(FlowStateConfig(
+            num_stations=config.num_stations, slot_seconds=config.slot_seconds,
+            short_window=config.short_window, long_days=config.long_days,
+            retained_slots=num_slots,
+        ))
+        for trip in sorted(trips, key=lambda trip: trip.start_time):
+            assert store.ingest(trip)
+        store.advance_to(num_slots)
+        dataset, start = extract_training_dataset(
+            store, synthetic.registry, train_days=7
+        )
+        assert dataset.num_slots == 7 * config.slots_per_day
+        inflow, outflow = build_flow_slots(
+            trips, config.num_stations, num_slots, config.slot_seconds
+        )
+        assert_slot_arrays_equal(dataset.inflow_slots, inflow, start)
+        assert_slot_arrays_equal(dataset.outflow_slots, outflow, start)
 
     def test_pinned_normalizers_are_the_deployments(self, city):
         store = _store(city)

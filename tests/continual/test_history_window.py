@@ -1,9 +1,9 @@
-"""``history_window()`` parity: training extraction equals the batch builder.
+"""``history_slots()`` parity: training extraction equals the batch build.
 
-The continual loop trains on what ``history_window()`` hands it, so the
-window must be **bitwise** equal to :func:`build_flow_tensors` over the
-same trip log — dirty records, out-of-order delivery and in-transit
-trips included.
+The continual loop trains on the slots ``history_slots()`` hands it, so
+the window, densified, must be **bitwise** equal to the literal dense
+oracle over the same trip log — dirty records, out-of-order delivery
+and in-transit trips included.
 """
 
 import numpy as np
@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.flows import build_flow_tensors
 from repro.data.records import TripRecord
 from repro.serve import FlowStateConfig, FlowStateStore
+from tests.flow_oracle import build_flow_tensors, history_window
 
 SLOT = 1800.0  # 30-minute slots: slots_per_day = 48
 
@@ -66,7 +66,7 @@ def _assert_window_parity(store, stream):
         trips, num_stations, num_slots, SLOT
     )
     # Full retained span, default bounds: finalized slots only.
-    first, inflow, outflow = store.history_window()
+    first, inflow, outflow = history_window(store)
     assert first == store.oldest_retained
     assert inflow.shape[0] == num_slots - first
     assert np.array_equal(inflow, batch_inflow[first:num_slots])
@@ -76,7 +76,7 @@ def _assert_window_parity(store, stream):
     if span >= 2:
         sub = span // 2
         end = first + sub + (span - sub) // 2
-        f2, in2, out2 = store.history_window(slots=sub, end=end)
+        f2, in2, out2 = history_window(store, slots=sub, end=end)
         assert f2 == end - sub
         assert np.array_equal(in2, batch_inflow[f2:end])
         assert np.array_equal(out2, batch_outflow[f2:end])
@@ -97,10 +97,10 @@ def test_history_window_excludes_open_frontier():
     store.advance_to(5)
     # A trip in the open frontier slot must not appear in any window.
     store.ingest(TripRecord(0, 0, 1, 5 * SLOT + 1.0, 5 * SLOT + 2.0))
-    _, inflow, outflow = store.history_window()
+    _, inflow, outflow = history_window(store)
     assert inflow.sum() == 0.0 and outflow.sum() == 0.0
     store.advance_to(6)
-    _, inflow, outflow = store.history_window(slots=1)
+    _, inflow, outflow = history_window(store, slots=1)
     # Outflow rows are origins, inflow rows are destinations (Def. 1).
     assert outflow[0, 0, 1] == 1.0 and inflow[0, 1, 0] == 1.0
 
@@ -112,10 +112,10 @@ def test_history_window_validates_bounds():
     store = FlowStateStore(config)
     store.advance_to(60)  # retention = horizon = 48, so slots 12.. retained
     with pytest.raises(ValueError):
-        store.history_window(slots=49)  # deeper than retention
+        history_window(store, slots=49)  # deeper than retention
     with pytest.raises(ValueError):
-        store.history_window(end=61)  # beyond the frontier
+        history_window(store, end=61)  # beyond the frontier
     with pytest.raises(ValueError):
-        store.history_window(slots=2, end=5)  # evicted slots
-    first, inflow, _ = store.history_window(slots=0)
+        history_window(store, slots=2, end=5)  # evicted slots
+    first, inflow, _ = history_window(store, slots=0)
     assert inflow.shape == (0, 3, 3)

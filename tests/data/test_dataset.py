@@ -1,13 +1,18 @@
 """BikeShareDataset: windows, splits, normalizers, sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.data import (
     BikeShareDataset,
     FlowDataConfig,
+    FlowSlots,
     Station,
     StationRegistry,
+    TripRecord,
+    build_flow_slots,
 )
 
 
@@ -21,7 +26,20 @@ def make_dataset(days=6, n=3, spd=4, seed=0):
     config = FlowDataConfig(
         slot_seconds=86400.0 / spd, short_window=spd, long_days=2
     )
-    return BikeShareDataset(registry, inflow, outflow, config, name="unit")
+    return BikeShareDataset(
+        registry, FlowSlots.from_dense(inflow), FlowSlots.from_dense(outflow),
+        config, name="unit",
+    )
+
+
+def dense_flows(ds):
+    """The dataset's ``(inflow, outflow)`` as dense ``(T, n, n)`` tensors."""
+    return ds.inflow_slots.dense(), ds.outflow_slots.dense()
+
+
+def first_slots(slots, count):
+    """The first ``count`` slots of a :class:`FlowSlots`."""
+    return FlowSlots.from_dense(slots.dense()[:count])
 
 
 class TestFlowDataConfig:
@@ -52,21 +70,37 @@ class TestDatasetConstruction:
 
     def test_rejects_partial_days(self):
         ds = make_dataset()
+        short = ds.num_slots - 1
         with pytest.raises(ValueError):
             BikeShareDataset(
-                ds.registry, ds.inflow[:-1], ds.outflow[:-1], ds.config
+                ds.registry, first_slots(ds.inflow_slots, short),
+                first_slots(ds.outflow_slots, short), ds.config,
             )
 
     def test_rejects_station_mismatch(self):
         ds = make_dataset(n=3)
         small_registry = StationRegistry([Station(0, 0, 0), Station(1, 0.1, 0)])
         with pytest.raises(ValueError):
-            BikeShareDataset(small_registry, ds.inflow, ds.outflow, ds.config)
+            BikeShareDataset(
+                small_registry, ds.inflow_slots, ds.outflow_slots, ds.config
+            )
 
     def test_demand_supply_derived(self):
         ds = make_dataset()
-        np.testing.assert_allclose(ds.demand, ds.outflow.sum(axis=2))
-        np.testing.assert_allclose(ds.supply, ds.inflow.sum(axis=2))
+        inflow, outflow = dense_flows(ds)
+        np.testing.assert_array_equal(ds.demand, outflow.sum(axis=2))
+        np.testing.assert_array_equal(ds.supply, inflow.sum(axis=2))
+
+    def test_outflow_is_a_read_only_dense_view(self):
+        ds = make_dataset()
+        outflow = ds.outflow
+        assert outflow.shape == (ds.num_slots, 3, 3)
+        np.testing.assert_array_equal(outflow, ds.outflow_slots.dense())
+        outflow[:] = 0.0  # a fresh copy: the dataset is unaffected
+        assert ds.outflow.sum() == ds.demand.sum() > 0
+        with pytest.raises(AttributeError):
+            ds.outflow = outflow
+        assert not hasattr(ds, "inflow")
 
 
 class TestSplits:
@@ -105,7 +139,8 @@ class TestSampling:
         ds = make_dataset()
         t = ds.min_history + 1
         sample = ds.sample(t)
-        np.testing.assert_allclose(sample.short_inflow.dense(), ds.inflow[t - 4 : t])
+        inflow, _ = dense_flows(ds)
+        np.testing.assert_allclose(sample.short_inflow.dense(), inflow[t - 4 : t])
 
     def test_long_window_is_same_slot_of_previous_days(self):
         ds = make_dataset()
@@ -113,8 +148,9 @@ class TestSampling:
         sample = ds.sample(t)
         spd = ds.slots_per_day
         long_inflow = sample.long_inflow.dense()
-        np.testing.assert_allclose(long_inflow[-1], ds.inflow[t - spd])
-        np.testing.assert_allclose(long_inflow[0], ds.inflow[t - 2 * spd])
+        inflow, _ = dense_flows(ds)
+        np.testing.assert_allclose(long_inflow[-1], inflow[t - spd])
+        np.testing.assert_allclose(long_inflow[0], inflow[t - 2 * spd])
 
     def test_targets_match_dataset(self):
         ds = make_dataset()
@@ -150,20 +186,21 @@ class TestWindowCache:
         k = ds.config.short_window
         d = ds.config.long_days
         spd = ds.slots_per_day
+        inflow, outflow = dense_flows(ds)
         for t in range(ds.min_history, ds.num_slots):
             sample = ds.sample(t)
             # Original constructions: slices for the short window, a
             # fancy-indexed same-slot stack (oldest first) for the long.
             long_idx = [t - i * spd for i in range(d, 0, -1)]
             np.testing.assert_array_equal(
-                sample.short_inflow.dense(), ds.inflow[t - k : t]
+                sample.short_inflow.dense(), inflow[t - k : t]
             )
             np.testing.assert_array_equal(
-                sample.short_outflow.dense(), ds.outflow[t - k : t]
+                sample.short_outflow.dense(), outflow[t - k : t]
             )
-            np.testing.assert_array_equal(sample.long_inflow.dense(), ds.inflow[long_idx])
+            np.testing.assert_array_equal(sample.long_inflow.dense(), inflow[long_idx])
             np.testing.assert_array_equal(
-                sample.long_outflow.dense(), ds.outflow[long_idx]
+                sample.long_outflow.dense(), outflow[long_idx]
             )
             np.testing.assert_array_equal(sample.target_demand, ds.demand[t])
             np.testing.assert_array_equal(sample.target_supply, ds.supply[t])
@@ -199,3 +236,47 @@ class TestNormalizers:
     def test_flow_scale_positive(self):
         ds = make_dataset()
         assert ds.flow_scale > 0
+
+    def test_flow_scale_is_max_training_count(self):
+        ds = make_dataset(days=10)
+        train, _, _ = ds.split_indices()
+        inflow, outflow = dense_flows(ds)
+        end = train[-1] + 1
+        assert ds.flow_scale == max(inflow[:end].max(), outflow[:end].max())
+
+    def test_flow_scale_defaults_to_one_without_training_flows(self):
+        ds = make_dataset(days=10)
+        empty = FlowSlots.from_dense(np.zeros((ds.num_slots, 3, 3)))
+        quiet = BikeShareDataset(ds.registry, empty, empty, ds.config)
+        assert quiet.flow_scale == 1.0
+
+
+class TestSparseFootprint:
+    def test_paper_scale_dataset_stays_sparse(self):
+        """A 571-station, 2-day dataset allocates with its trips, not n^2.
+
+        Dense float64 ``(96, 571, 571)`` inflow and outflow tensors
+        alone would need about 500 MB; the canonical slots of a few
+        thousand trips plus the ``(96, 571)`` demand/supply need a few MB.
+        """
+        n, slots, slot_seconds = 571, 96, 1800.0
+        rng = np.random.default_rng(0)
+        starts = rng.uniform(0, slots * slot_seconds, size=4000)
+        trips = [
+            TripRecord(i, int(o), int(d), float(s), float(s + rng.uniform(120, 3600)))
+            for i, (o, d, s) in enumerate(
+                zip(rng.integers(n, size=4000), rng.integers(n, size=4000), starts)
+            )
+        ]
+        registry = StationRegistry([Station(i, 0.001 * i, 0.0) for i in range(n)])
+        config = FlowDataConfig(slot_seconds=slot_seconds, short_window=48, long_days=1)
+        tracemalloc.start()
+        try:
+            inflow, outflow = build_flow_slots(trips, n, slots, slot_seconds)
+            ds = BikeShareDataset(registry, inflow, outflow, config)
+            ds.sample(ds.min_history)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.demand.sum() == len(trips)
+        assert peak < 20e6, f"dataset construction peaked at {peak / 1e6:.1f} MB"

@@ -19,11 +19,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.data.flows import build_flow_tensors
 from repro.data.records import TripRecord
 from repro.faults import FaultPlan, InjectedFault, injected
 from repro.obs import default_registry, metrics_scope
 from repro.serve import FlowStateConfig, FlowStateStore, LateEventError
+from tests.flow_oracle import build_flow_tensors, retained_tensors
 
 SLOT = 1800.0
 
@@ -49,7 +49,7 @@ def assert_batch_parity(store: FlowStateStore, applied: list[TripRecord]):
     batch_in, batch_out = build_flow_tensors(
         applied, store.config.num_stations, num_slots, SLOT
     )
-    first, inflow, outflow = store.retained_tensors()
+    first, inflow, outflow = retained_tensors(store)
     assert np.array_equal(inflow, batch_in[first:num_slots])
     assert np.array_equal(outflow, batch_out[first:num_slots])
 
@@ -78,11 +78,11 @@ class TestLatenessBound:
         store.ingest(applied[0])
         store.advance_to(60)
         before_version = store.version
-        snapshot = store.retained_tensors()
+        snapshot = retained_tensors(store)
         with pytest.raises(LateEventError):
             store.ingest(trip(1, 11))
         assert store.version == before_version
-        after = store.retained_tensors()
+        after = retained_tensors(store)
         assert np.array_equal(after[1], snapshot[1])
         assert np.array_equal(after[2], snapshot[2])
         assert_batch_parity(store, applied)
@@ -132,7 +132,7 @@ class TestClockSkew:
                 for i in range(20):
                     store.ingest(trip(i, 5 + i))
             fired = [(f.site, f.call_index) for f in plan.fired]
-            _, inflow, outflow = store.retained_tensors()
+            _, inflow, outflow = retained_tensors(store)
             return fired, inflow, outflow
 
         fired_a, in_a, out_a = drive()

@@ -15,8 +15,9 @@ from repro.baselines import HistoricalAverage
 from repro.data import (
     BikeShareDataset,
     FlowDataConfig,
+    FlowSlots,
     build_city,
-    build_flow_tensors,
+    build_flow_slots,
     clean_trips,
     generate_trips,
     read_trips_csv,
@@ -39,7 +40,7 @@ class TestFullPipeline:
 
         clean, report = clean_trips(reloaded, config.num_stations)
         assert report.kept == len(clean)
-        inflow, outflow = build_flow_tensors(
+        inflow, outflow = build_flow_slots(
             clean, config.num_stations,
             config.days * config.slots_per_day, config.slot_seconds,
         )
@@ -120,11 +121,15 @@ class TestRobustness:
     def test_station_with_zero_traffic(self):
         """A dead station must not break training or evaluation."""
         ds = generate_city(SyntheticCityConfig.tiny(days=8, num_stations=6), seed=1)
-        ds.inflow[:, 0, :] = 0.0
-        ds.inflow[:, :, 0] = 0.0
-        ds.outflow[:, 0, :] = 0.0
-        ds.outflow[:, :, 0] = 0.0
-        rebuilt = BikeShareDataset(ds.registry, ds.inflow, ds.outflow, ds.config)
+        inflow, outflow = ds.inflow_slots.dense(), ds.outflow_slots.dense()
+        for flows in (inflow, outflow):
+            flows[:, 0, :] = 0.0
+            flows[:, :, 0] = 0.0
+        rebuilt = BikeShareDataset(
+            ds.registry, FlowSlots.from_dense(inflow), FlowSlots.from_dense(outflow),
+            ds.config,
+        )
+        assert rebuilt.demand[:, 0].sum() == rebuilt.supply[:, 0].sum() == 0.0
         model = STGNNDJD.from_dataset(rebuilt, seed=0)
         trainer = Trainer(
             model, rebuilt, TrainingConfig(epochs=1, max_batches_per_epoch=2)
@@ -137,12 +142,15 @@ class TestRobustness:
     def test_empty_slots_everywhere(self):
         """All-zero flow (a snowstorm day) must not produce NaNs."""
         ds = generate_city(SyntheticCityConfig.tiny(days=8, num_stations=6), seed=2)
-        quiet_inflow = np.zeros_like(ds.inflow)
-        quiet_outflow = np.zeros_like(ds.outflow)
+        quiet_inflow = np.zeros((ds.num_slots, ds.num_stations, ds.num_stations))
+        quiet_outflow = np.zeros_like(quiet_inflow)
         # Keep one trip so normalizers have a nonzero max.
         quiet_outflow[0, 0, 1] = 1.0
         quiet_inflow[0, 1, 0] = 1.0
-        rebuilt = BikeShareDataset(ds.registry, quiet_inflow, quiet_outflow, ds.config)
+        rebuilt = BikeShareDataset(
+            ds.registry, FlowSlots.from_dense(quiet_inflow),
+            FlowSlots.from_dense(quiet_outflow), ds.config,
+        )
         model = STGNNDJD.from_dataset(rebuilt, seed=0)
         demand, supply = model(rebuilt.sample(rebuilt.min_history))
         assert np.isfinite(demand.data).all()

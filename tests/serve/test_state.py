@@ -7,6 +7,7 @@ import pytest
 
 from repro.data.records import TripRecord
 from repro.serve import FlowStateConfig, FlowStateStore, LateEventError
+from tests.flow_oracle import retained_tensors
 from tests.windows import assert_sample_windows_equal
 
 
@@ -54,7 +55,7 @@ class TestIngest:
     def test_outflow_lands_in_start_slot(self):
         store = FlowStateStore(_config())
         assert store.ingest(_trip(1, 2, start_slot=0, end_slot=0))
-        _, inflow, outflow = store.retained_tensors()
+        _, inflow, outflow = retained_tensors(store)
         assert outflow[0, 1, 2] == 1.0
         assert inflow[0, 2, 1] == 1.0
 
@@ -66,10 +67,10 @@ class TestIngest:
     def test_in_transit_inflow_waits_for_rollover(self):
         store = FlowStateStore(_config())
         store.ingest(_trip(0, 1, start_slot=0, end_slot=3))
-        _, inflow, _ = store.retained_tensors()
+        _, inflow, _ = retained_tensors(store)
         assert inflow.sum() == 0.0  # still in transit
         store.advance_to(3)
-        first, inflow, _ = store.retained_tensors()
+        first, inflow, _ = retained_tensors(store)
         assert inflow[3 - first, 1, 0] == 1.0
 
     def test_rollover_gap_applies_all_matured_inflow(self):
@@ -77,7 +78,7 @@ class TestIngest:
         store.ingest(_trip(0, 1, start_slot=0, end_slot=2))
         store.ingest(_trip(2, 3, start_slot=0, end_slot=4))
         store.advance_to(10)
-        first, inflow, _ = store.retained_tensors()
+        first, inflow, _ = retained_tensors(store)
         assert inflow[2 - first, 1, 0] == 1.0
         assert inflow[4 - first, 3, 2] == 1.0
 
@@ -86,7 +87,7 @@ class TestIngest:
         store.advance_to(10)
         version = store.version
         assert store.ingest(_trip(1, 0, start_slot=8, end_slot=9))
-        first, inflow, outflow = store.retained_tensors()
+        first, inflow, outflow = retained_tensors(store)
         assert outflow[8 - first, 1, 0] == 1.0
         assert inflow[9 - first, 0, 1] == 1.0
         assert store.version > version  # forecast caches must invalidate
@@ -95,7 +96,7 @@ class TestIngest:
         store = FlowStateStore(_config())
         store.advance_to(100)
         assert not store.ingest(_trip(0, 1, start_slot=2, end_slot=3))
-        _, inflow, outflow = store.retained_tensors()
+        _, inflow, outflow = retained_tensors(store)
         assert inflow.sum() == 0.0 and outflow.sum() == 0.0
 
     def test_event_behind_horizon_errors_when_configured(self):
@@ -105,10 +106,10 @@ class TestIngest:
             store.ingest(_trip(0, 1, start_slot=2, end_slot=3))
 
     def test_negative_return_time_ignored_like_batch(self):
-        # build_flow_tensors drops inflow for end_slot < 0; so do we.
+        # build_flow_slots drops inflow for end_slot < 0; so do we.
         store = FlowStateStore(_config())
         store.ingest_event(0, 1, start_time=10.0, end_time=-5000.0)
-        _, inflow, outflow = store.retained_tensors()
+        _, inflow, outflow = retained_tensors(store)
         assert outflow[0, 0, 1] == 1.0
         assert inflow.sum() == 0.0
 
@@ -145,7 +146,7 @@ class TestRollover:
         store.ingest(_trip(0, 1, start_slot=0, end_slot=0))
         # Push slot 0 off the horizon; its ring row is recycled clean.
         store.advance_to(config.horizon + 1)
-        _, inflow, outflow = store.retained_tensors()
+        _, inflow, outflow = retained_tensors(store)
         assert inflow.sum() == 0.0 and outflow.sum() == 0.0
 
     def test_version_bumps_on_rollover(self):

@@ -4,9 +4,10 @@ Property test over randomized event streams — including out-of-order
 delivery within the retained horizon, trips still in transit at the
 window edge, dirty negative-duration records, and slot-boundary
 rollover — asserting that :class:`FlowStateStore`'s retained slots,
-densified, are **bitwise** equal to :func:`build_flow_tensors` over the
-same history, and that its sparse windows equal a
-:class:`BikeShareDataset`'s canonical windows entry for entry.
+densified, are **bitwise** equal to the literal per-trip dense oracle
+(:func:`tests.flow_oracle.build_flow_tensors`) over the same history,
+and that its sparse windows equal a :class:`BikeShareDataset`'s
+canonical windows entry for entry.
 """
 
 import numpy as np
@@ -14,11 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import STGNNDJD, STGNNDJDConfig
-from repro.data import BikeShareDataset, FlowDataConfig, Station, StationRegistry
-from repro.data.flows import build_flow_tensors
+from repro.data import (
+    BikeShareDataset,
+    FlowDataConfig,
+    Station,
+    StationRegistry,
+    build_flow_slots,
+)
 from repro.data.records import TripRecord
 from repro.serve import FlowStateConfig, FlowStateStore
 from repro.tensor import inference_mode
+from tests.flow_oracle import build_flow_tensors, retained_tensors
 from tests.windows import assert_sample_windows_equal
 
 SLOT = 1800.0  # 30-minute slots keep slots_per_day (48) honest but small
@@ -75,7 +82,7 @@ def test_incremental_matches_batch_bitwise(stream):
         assert store.ingest(trip)
     store.advance_to(num_slots)
 
-    first, inflow, outflow = store.retained_tensors()
+    first, inflow, outflow = retained_tensors(store)
     finalized = num_slots - first  # the frontier row is the open slot
     assert np.array_equal(inflow[:finalized], batch_inflow[first:num_slots])
     assert np.array_equal(outflow[:finalized], batch_outflow[first:num_slots])
@@ -138,7 +145,7 @@ def test_sample_windows_equal_dataset_canonical_windows(stream):
     # after t (no window reads them).
     spd = config.slots_per_day
     padded = (num_slots // spd + 1) * spd
-    inflow, outflow = build_flow_tensors(trips, num_stations, padded, SLOT)
+    inflow, outflow = build_flow_slots(trips, num_stations, padded, SLOT)
     registry = StationRegistry([Station(i, 0.01 * i, 0.0) for i in range(num_stations)])
     dataset = BikeShareDataset(
         registry, inflow, outflow,
@@ -194,7 +201,7 @@ def test_interleaved_ingest_and_rollover_matches_batch():
     batch_inflow, batch_outflow = build_flow_tensors(
         trips, num_stations, num_slots, SLOT
     )
-    first, inflow, outflow = store.retained_tensors()
+    first, inflow, outflow = retained_tensors(store)
     finalized = num_slots - first
     assert np.array_equal(inflow[:finalized], batch_inflow[first:num_slots])
     assert np.array_equal(outflow[:finalized], batch_outflow[first:num_slots])
