@@ -11,10 +11,9 @@ serving modes:
   substrate's training-path cost and the stand-in for the pre-backend
   serving path, which paid the same per-op allocations under ``no_grad``.
 * ``inference_float64`` — the forward-only fast path
-  (``inference_mode`` + buffer pool): no closures, no parent tuples,
-  pooled scratch arrays; double precision.
+  (``inference_mode``): no closures, no parent tuples; double precision.
 * ``inference_float32`` — the fast path with the model cast to single
-  precision (``model.to(np.float32)`` under a float32 dtype scope).
+  precision by ``model.to(np.float32)`` alone (ops follow their inputs).
 
 Results are persisted to ``BENCH_efficiency.json`` at the repo root —
 latency per slot, per city, per mode — and the fast float32 path must
@@ -38,7 +37,6 @@ from _harness import (
     get_stgnn_trainer,
     op_profile,
 )
-from repro import backend
 from repro.utils import Timer
 
 WARMUP = 3
@@ -91,14 +89,13 @@ def measured_latencies(city: str) -> dict[str, float]:
         "inference_float64": _time_calls(trainer.predict, test_idx),
     }
 
-    # float32 serving: cast the model down under a float32 dtype scope,
-    # then restore the exact float64 weights (the float64->float32->
-    # float64 round trip truncates mantissas, so reload the snapshot).
+    # float32 serving: cast the model down, then restore the exact
+    # float64 weights (the float64->float32->float64 round trip
+    # truncates mantissas, so reload the snapshot).
     snapshot = trainer.model.state_dict()
     trainer.model.to(np.float32)
     try:
-        with backend.dtype_scope(np.float32):
-            latencies["inference_float32"] = _time_calls(trainer.predict, test_idx)
+        latencies["inference_float32"] = _time_calls(trainer.predict, test_idx)
     finally:
         trainer.model.to(np.float64)
         trainer.model.load_state_dict(snapshot)

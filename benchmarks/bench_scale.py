@@ -96,7 +96,6 @@ def _peak_rss_bytes() -> int:
 def _run_child(n: int, days: int) -> None:
     from _harness import op_profile
     from repro import STGNNDJD, Trainer, TrainingConfig, generate_city
-    from repro import backend
     from repro.serve import PredictionService, ServiceConfig
     from repro.tensor import inference_mode
 
@@ -109,7 +108,7 @@ def _run_child(n: int, days: int) -> None:
     model.eval()
     t = int(dataset.min_history)
     with inference_mode():
-        model(dataset.sample(t))  # warm (buffer pool, caches)
+        model(dataset.sample(t))  # warm (caches)
         timings = []
         for i in range(FORWARD_REPEATS):
             tick = time.perf_counter()
@@ -145,16 +144,15 @@ def _run_child(n: int, days: int) -> None:
         )
     )
 
-    # One full training epoch, under the trainer's float64 pin.
+    # One full training epoch (the model is float64, as Trainer.fit needs).
     model.train()
     train_idx = dataset.split_indices()[0]
     trainer = Trainer(
         model, dataset, TrainingConfig(epochs=1, batch_size=8, seed=5)
     )
-    with backend.dtype_scope(np.float64):
-        tick = time.perf_counter()
-        trainer._run_epoch(train_idx)
-        epoch_seconds = time.perf_counter() - tick
+    tick = time.perf_counter()
+    trainer._run_epoch(train_idx)
+    epoch_seconds = time.perf_counter() - tick
 
     result = {
         "n": n,

@@ -1,47 +1,29 @@
-"""The compute backend: dtype policy, allocation, op dispatch, buffers.
+"""The compute backend: supported dtypes, op dispatch, buffers.
 
 This package is the seam between the numerical substrate and everything
-built on it. Layers above (``repro.tensor``, ``repro.nn``, ...) obtain
-dtypes and arrays from here instead of hardcoding ``float64``, primitive
-ops register themselves in :mod:`repro.backend.registry`, and the
-forward-only serving path draws scratch arrays from
-:mod:`repro.backend.pool`.
+built on it. Primitive ops register themselves in
+:mod:`repro.backend.registry`, and :func:`asarray` is where raw operands
+acquire a dtype.
 
-Policy summary:
+Dtype rule: ops follow their inputs; ``model.to`` picks the precision.
+Every op computes in the dtype of its inputs and allocates its own
+output, so there is no ambient dtype to scope. A model cast with
+``model.to(np.float32)`` runs single precision under plain
+``no_grad()``; training stays ``float64`` (``Trainer.fit`` refuses any
+other model), and raw values with no dtype become ``float64``.
 
-* default dtype is ``float64`` — gradient checks and training stay in
-  double precision, bit-for-bit identical to the pre-backend substrate;
-* inference opts into ``float32`` via ``repro.inference_mode`` (or a
-  :func:`dtype_scope`), halving memory traffic on the hot path;
-* allocation goes through :func:`asarray` / :func:`zeros` /
-  :func:`ones` / :func:`empty` so an alternative array backend is a
-  one-package swap.
+:mod:`repro.backend.pool` (``BufferPool``, ``buffer_scope``) has no op
+that draws from it; it stays importable for the perfbench harness.
 """
 
-from repro.backend.backend import (
-    SUPPORTED_DTYPES,
-    asarray,
-    default_dtype,
-    dtype_scope,
-    empty,
-    ones,
-    resolve_dtype,
-    set_default_dtype,
-    zeros,
-)
+from repro.backend.backend import SUPPORTED_DTYPES, asarray, resolve_dtype
 from repro.backend.pool import BufferPool, active_pool, buffer_scope
 from repro.backend.registry import get_op, has_op, list_ops, override, register
 
 __all__ = [
     "SUPPORTED_DTYPES",
     "asarray",
-    "default_dtype",
-    "set_default_dtype",
-    "dtype_scope",
     "resolve_dtype",
-    "zeros",
-    "ones",
-    "empty",
     "BufferPool",
     "active_pool",
     "buffer_scope",

@@ -1,27 +1,13 @@
-"""Dtype policy and array allocation for the compute substrate.
+"""Supported dtypes and operand coercion for the compute substrate.
 
-The backend owns two things every layer above it used to hardcode:
-
-* the **default dtype** — ``float64`` globally (gradient checks compare
-  against finite differences at 1e-6 tolerances and need the headroom),
-  switchable to ``float32`` for inference where memory bandwidth, not
-  precision, is the bottleneck;
-* the **allocators** — every array the substrate materialises
-  (:func:`asarray`, :func:`zeros`, :func:`ones`, :func:`empty`) goes
-  through here, so a dtype change (or, later, an alternative array
-  library) is a one-module swap instead of a repo-wide grep.
-
-The policy is a thread-global stack: :func:`set_default_dtype` installs a
-new default, :func:`dtype_scope` scopes one to a ``with`` block. Training
-code that *must* run in double precision (gradient accumulation, the
-finite-difference checks) pins it explicitly with
-``dtype_scope(np.float64)`` rather than trusting the ambient default.
+There is no ambient dtype: every op computes in the dtype of its inputs
+and allocates its own output, so a model's precision is the dtype of its
+parameters (``model.to(np.float32)`` selects single precision). Raw
+python scalars and sequences that enter the substrate without a dtype
+become ``float64``, the precision training and the gradient checks need.
 """
 
 from __future__ import annotations
-
-import contextlib
-from typing import Iterator
 
 import numpy as np
 
@@ -30,22 +16,21 @@ import numpy as np
 #: *and* less precise — there is no hardware half-precision to exploit.
 SUPPORTED_DTYPES = (np.float32, np.float64)
 
-_DEFAULT_DTYPE: np.dtype = np.dtype(np.float64)
-
 #: Canonicalised once — ``resolve_dtype`` sits on the per-op hot path
-#: (every tensor allocation and pool take), so the membership check must
-#: not rebuild the supported list per call.
+#: (every tensor allocation), so the membership check must not rebuild
+#: the supported list per call.
 _SUPPORTED_RESOLVED = frozenset(np.dtype(d) for d in SUPPORTED_DTYPES)
+_FLOAT64 = np.dtype(np.float64)
 
 
 def resolve_dtype(dtype: "str | np.dtype | type | None") -> np.dtype:
     """Canonicalise ``dtype`` (name, numpy type or dtype) to ``np.dtype``.
 
-    ``None`` resolves to the current default, so callers can thread an
-    optional dtype straight through without branching.
+    ``None`` resolves to ``float64``, so callers can thread an optional
+    dtype straight through without branching.
     """
     if dtype is None:
-        return _DEFAULT_DTYPE
+        return _FLOAT64
     resolved = np.dtype(dtype)
     if resolved not in _SUPPORTED_RESOLVED:
         raise ValueError(
@@ -55,49 +40,12 @@ def resolve_dtype(dtype: "str | np.dtype | type | None") -> np.dtype:
     return resolved
 
 
-def default_dtype() -> np.dtype:
-    """The dtype new tensors and parameters are allocated with."""
-    return _DEFAULT_DTYPE
-
-
-def set_default_dtype(dtype: "str | np.dtype | type") -> np.dtype:
-    """Install a new global default dtype; returns the previous one."""
-    global _DEFAULT_DTYPE
-    previous = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = resolve_dtype(dtype)
-    return previous
-
-
-@contextlib.contextmanager
-def dtype_scope(dtype: "str | np.dtype | type") -> Iterator[np.dtype]:
-    """Scope the default dtype to a ``with`` block (exception-safe)."""
-    previous = set_default_dtype(dtype)
-    try:
-        yield _DEFAULT_DTYPE
-    finally:
-        set_default_dtype(previous)
-
-
-# ----------------------------------------------------------------------
-# Allocators
-# ----------------------------------------------------------------------
 def asarray(value, dtype: "str | np.dtype | type | None" = None) -> np.ndarray:
-    """Coerce ``value`` to an array of the backend (or given) dtype.
+    """Coerce ``value`` to an array of ``dtype`` (``float64`` if None).
 
     This is the single place raw python ints/floats/sequences acquire a
-    dtype — binary ops route their non-tensor operand through here so a
-    ``float32`` graph is never silently upcast by a python scalar.
+    dtype — binary ops route their non-tensor operand through here with
+    the tensor operand's dtype, so a ``float32`` graph is never silently
+    upcast by a python scalar.
     """
     return np.asarray(value, dtype=resolve_dtype(dtype))
-
-
-def zeros(shape, dtype=None) -> np.ndarray:
-    return np.zeros(shape, dtype=resolve_dtype(dtype))
-
-
-def ones(shape, dtype=None) -> np.ndarray:
-    return np.ones(shape, dtype=resolve_dtype(dtype))
-
-
-def empty(shape, dtype=None) -> np.ndarray:
-    return np.empty(shape, dtype=resolve_dtype(dtype))

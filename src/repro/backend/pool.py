@@ -1,23 +1,16 @@
-"""Scratch-buffer pool for the forward-only fast path.
+"""Shape/dtype-keyed scratch-buffer pool (no op draws from it).
 
-Online serving calls the model once per time slot with identically
-shaped inputs, so every intermediate array of slot ``t`` has an exact
-shape/dtype twin in slot ``t+1``. The pool exploits that: fused ops ask
-:meth:`BufferPool.take` for their output buffer instead of allocating,
-and the caller releases everything back in one stroke when the
-prediction is finished.
+Every op allocates its own output; a serving forward with a pool was
+bitwise equal to one without and no faster. This module stays
+importable only because the perfbench harness (``perfbench/run.py``,
+``perfbench/layers.py``) still opens ``buffer_scope`` around forwards
+and reports a pool hit rate, which now reads 0. It goes when that
+harness stops calling it.
 
 Safety model — buffers handed out stay **in use** until
-:meth:`BufferPool.release_all`, so two ops inside one prediction can
-never alias each other's output. Reuse only happens *across* pool
-scopes (i.e. across prediction calls), which is exactly when the
-previous slot's intermediates are dead. The pool must therefore only be
-active while gradients are off: a recorded graph keeps intermediate
-arrays alive past the scope's end.
-
-Returned buffers are uninitialised (``np.empty`` semantics): takers must
-fully overwrite them, which the fused ops do by construction (``out=``
-targets of ``np.matmul`` / ``np.multiply``).
+:meth:`BufferPool.release_all`, so two takers inside one scope can
+never alias each other's output; reuse only happens *across* scopes.
+Returned buffers are uninitialised (``np.empty`` semantics).
 """
 
 from __future__ import annotations
@@ -118,7 +111,7 @@ _ACTIVE_POOL: BufferPool | None = None
 
 
 def active_pool() -> BufferPool | None:
-    """The pool fused ops should draw from, or None outside a scope."""
+    """The innermost ``buffer_scope``'s pool, or None outside a scope."""
     return _ACTIVE_POOL
 
 

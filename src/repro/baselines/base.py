@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import backend
 from repro.data.dataset import BikeShareDataset, FlowSample
 from repro.nn import Module
 from repro.tensor import Tensor
@@ -78,18 +77,14 @@ class DeepBaseline(Module):
         h = self.dims.history
         demand = sample.short_outflow.row_sums()[-h:]
         supply = sample.short_inflow.row_sums()[-h:]
-        scaled = np.stack([demand, supply], axis=2) / self.dims.input_scale
-        # Backend dtype (not hardcoded float64) so a float32 inference
-        # scope keeps the whole baseline forward in single precision.
-        return scaled.astype(backend.default_dtype(), copy=False)
+        return np.stack([demand, supply], axis=2) / self.dims.input_scale
 
     def daily_history(self, sample: FlowSample) -> np.ndarray:
         """Scaled same-slot-of-day series, shape ``(daily, n, 2)``."""
         d = self.dims.daily
         demand = sample.long_outflow.row_sums()[-d:]
         supply = sample.long_inflow.row_sums()[-d:]
-        scaled = np.stack([demand, supply], axis=2) / self.dims.input_scale
-        return scaled.astype(backend.default_dtype(), copy=False)
+        return np.stack([demand, supply], axis=2) / self.dims.input_scale
 
     def station_features(self, sample: FlowSample) -> np.ndarray:
         """Flattened per-station feature vector, shape ``(n, f)``.

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import backend
 from repro.core.model import STGNNDJD
 from repro.core.persistence import (
     CheckpointSchemaError,
@@ -112,11 +111,9 @@ class Trainer:
         self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
         self._rng = np.random.default_rng(self.config.seed)
         self._best_state: dict[str, np.ndarray] | None = None
-        # Scratch arrays recycled across predict() calls (see backend.pool).
-        self._pool = backend.BufferPool()
         # Normalised target tensors are constants per prediction time;
         # memoise them so epoch k+1 reuses epoch k's allocations.
-        self._target_cache: dict[tuple, tuple[Tensor, Tensor]] = {}
+        self._target_cache: dict[int, tuple[Tensor, Tensor]] = {}
         # Telemetry handles (no-ops until the registry is enabled by a
         # RunRecorder or repro.obs.enable_metrics()).
         obs_registry = default_registry()
@@ -136,8 +133,7 @@ class Trainer:
         return getattr(config, "horizon", 1)
 
     def _normalised_targets(self, t: int) -> tuple[Tensor, Tensor]:
-        key = (t, backend.default_dtype())
-        cached = self._target_cache.get(key)
+        cached = self._target_cache.get(t)
         if cached is not None:
             return cached
         h = self._horizon
@@ -153,7 +149,7 @@ class Trainer:
                 self.dataset.supply[t : t + h].T
             )
         targets = (Tensor(demand), Tensor(supply))
-        self._target_cache[key] = targets
+        self._target_cache[t] = targets
         return targets
 
     def _sample_loss(self, t: int):
@@ -178,15 +174,17 @@ class Trainer:
     def fit(self, epochs: int | None = None) -> TrainingHistory:
         """Train with early stopping; restores the best validation state.
 
-        Training is pinned to ``float64`` regardless of any ambient
-        backend dtype scope: gradient accumulation and the early-stopping
-        loss comparisons need double precision, and the gradcheck suite
-        validates exactly this configuration.
+        Training runs in ``float64`` only: gradient accumulation and the
+        early-stopping loss comparisons need double precision, and the
+        gradcheck suite validates exactly this configuration. A model
+        cast with ``model.to`` to another dtype raises ``ValueError``;
+        cast it back to ``float64`` first.
         """
-        with backend.dtype_scope(np.float64):
-            return self._fit(epochs)
-
-    def _fit(self, epochs: int | None) -> TrainingHistory:
+        if self.model.param_dtype != np.float64:
+            raise ValueError(
+                f"Trainer.fit needs a float64 model, got {self.model.param_dtype}; "
+                "call model.to(np.float64) first"
+            )
         epochs = epochs or self.config.epochs
         train_idx, val_idx, _ = self.dataset.split_indices()
         train_idx, val_idx = self._usable(train_idx), self._usable(val_idx)
@@ -248,7 +246,6 @@ class Trainer:
                         )
         finally:
             if recorder is not None:
-                recorder.attach("buffer_pool", self._pool.stats())
                 recorder.attach(
                     "history",
                     {"best_epoch": history.best_epoch,
@@ -430,19 +427,13 @@ class Trainer:
     def validation_loss(self, indices: np.ndarray) -> float:
         """Mean per-sample loss over ``indices`` without gradients.
 
-        Like :meth:`predict`, runs on the forward-only fast path with
-        intermediates drawn from the trainer's buffer pool, so an epoch
-        of validation recycles one sample's worth of scratch arrays.
+        Like :meth:`predict`, runs on the forward-only fast path.
         """
         self.model.eval()
         total = 0.0
         with inference_mode():
             for t in indices:
-                # Scope per sample: buffers release on exit, so sample
-                # t+1 reuses sample t's intermediates instead of piling
-                # the whole epoch's arrays into the pool.
-                with backend.buffer_scope(self._pool):
-                    total += self._sample_loss(int(t)).item()
+                total += self._sample_loss(int(t)).item()
         self.model.train()
         return total / len(indices) if len(indices) else float("nan")
 
@@ -452,25 +443,18 @@ class Trainer:
         Shapes are ``(n,)`` for single-step models and ``(n, horizon)``
         for multi-step ones (column ``j`` predicts slot ``t + j``).
 
-        Runs on the forward-only fast path: no graph is recorded, and
-        intermediate arrays come from a buffer pool recycled across
-        calls — the denormalised outputs are fresh arrays, safe to keep.
-
-        With metrics enabled, each call lands in the
-        ``serving.predict_seconds`` latency histogram and the buffer
-        pool's reuse statistics are mirrored to ``pool.*`` gauges.
+        Runs on the forward-only fast path: no graph is recorded. With
+        metrics enabled, each call lands in the
+        ``serving.predict_seconds`` latency histogram.
         """
         self.model.eval()
         start = time.perf_counter()
-        with inference_mode(), backend.buffer_scope(self._pool):
+        with inference_mode():
             demand_pred, supply_pred = self.model(self.dataset.sample(t))
             demand = self.dataset.demand_normalizer.inverse_transform(demand_pred.data)
             supply = self.dataset.supply_normalizer.inverse_transform(supply_pred.data)
         if self._obs.enabled:
             self._predict_timer.observe(time.perf_counter() - start)
-            self._obs.gauge("pool.takes").set(self._pool.takes)
-            self._obs.gauge("pool.hits").set(self._pool.hits)
-            self._obs.gauge("pool.peak_outstanding").set(self._pool.peak_outstanding)
         self.model.train()
         return demand, supply
 

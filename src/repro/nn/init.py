@@ -5,16 +5,13 @@ every model in the repo is exactly reproducible from a seed — a
 requirement for the benchmark harness, which compares methods trained
 from identical initial conditions.
 
-Draws are always made in ``float64`` (so a seed produces the same
-weights regardless of dtype policy) and then cast to the backend's
-default dtype, which is where layers pull their parameter dtype from.
+Parameters are created in ``float64``; ``Module.to`` casts a built
+model to another precision.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro import backend
 
 
 def xavier_uniform(
@@ -23,20 +20,18 @@ def xavier_uniform(
     """Glorot/Xavier uniform init, suited to tanh/sigmoid/linear layers."""
     fan_in, fan_out = _fans(shape)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    draw = rng.uniform(-bound, bound, size=shape)
-    return draw.astype(backend.default_dtype(), copy=False)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def he_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He/Kaiming uniform init, suited to ReLU-family activations."""
     fan_in, _ = _fans(shape)
     bound = np.sqrt(6.0 / fan_in)
-    draw = rng.uniform(-bound, bound, size=shape)
-    return draw.astype(backend.default_dtype(), copy=False)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
-    return backend.zeros(shape)
+    return np.zeros(shape)
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:

@@ -95,12 +95,13 @@ class Module:
     def to(self, dtype: "str | np.dtype | type") -> "Module":
         """Cast every parameter to ``dtype`` in place (torch's ``.to``).
 
-        The serving path casts a trained model once with
-        ``model.to(np.float32)`` and runs forwards under
-        ``inference_mode(dtype="float32")``; cast back to ``float64``
-        before resuming training (note the round trip truncates
-        mantissas — keep a ``state_dict`` snapshot when exact resumption
-        matters). Accumulated gradients are dropped, not cast.
+        This is the one precision switch: ops follow their inputs, so
+        after ``model.to(np.float32)`` a forward under ``no_grad()`` runs
+        in single precision end to end. Cast back to ``float64`` before
+        resuming training (``Trainer.fit`` refuses any other dtype; the
+        round trip truncates mantissas — keep a ``state_dict`` snapshot
+        when exact resumption matters). Accumulated gradients are
+        dropped, not cast.
         """
         resolved = backend.resolve_dtype(dtype)
         for param in self.parameters():
@@ -110,10 +111,10 @@ class Module:
 
     @property
     def param_dtype(self) -> np.dtype:
-        """Dtype of the module's parameters (backend default if none)."""
+        """Dtype of the module's parameters (``float64`` if none)."""
         for param in self.parameters():
             return param.data.dtype
-        return backend.default_dtype()
+        return np.dtype(np.float64)
 
     # ------------------------------------------------------------------
     # Serialization

@@ -88,7 +88,7 @@ class RNNEncoder(Module):
 
     def forward(self, sequence: Tensor) -> Tensor:
         steps, batch = sequence.shape[0], sequence.shape[1]
-        h = Tensor(np.zeros((batch, self.hidden_size)))
+        h = Tensor(np.zeros((batch, self.hidden_size)), dtype=sequence.data.dtype)
         for t in range(steps):
             h = self.cell(sequence[t], h)
         return h
@@ -104,8 +104,8 @@ class LSTMEncoder(Module):
 
     def forward(self, sequence: Tensor) -> Tensor:
         steps, batch = sequence.shape[0], sequence.shape[1]
-        h = Tensor(np.zeros((batch, self.hidden_size)))
-        c = Tensor(np.zeros((batch, self.hidden_size)))
+        h = Tensor(np.zeros((batch, self.hidden_size)), dtype=sequence.data.dtype)
+        c = Tensor(np.zeros((batch, self.hidden_size)), dtype=sequence.data.dtype)
         for t in range(steps):
             h, c = self.cell(sequence[t], (h, c))
         return h
@@ -121,7 +121,7 @@ class GRUEncoder(Module):
 
     def forward(self, sequence: Tensor) -> Tensor:
         steps, batch = sequence.shape[0], sequence.shape[1]
-        h = Tensor(np.zeros((batch, self.hidden_size)))
+        h = Tensor(np.zeros((batch, self.hidden_size)), dtype=sequence.data.dtype)
         for t in range(steps):
             h = self.cell(sequence[t], h)
         return h

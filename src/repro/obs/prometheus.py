@@ -41,7 +41,6 @@ _HELP_PREFIXES: tuple[tuple[str, str], ...] = (
     ("quality.reconciled_slots", "Forecasts reconciled against realized flows."),
     ("quality.unreconciled_slots", "Forecasts whose target slot left the ring unreconciled."),
     ("trainer.", "Training loop metric."),
-    ("pool.", "Buffer pool reuse statistic."),
     ("obs.events_dropped", "Events destroyed by JSONL stream rotation."),
     ("faults.", "Injected-fault bookkeeping (chaos tests only)."),
 )

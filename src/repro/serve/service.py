@@ -37,9 +37,10 @@ forecaster. Three serving concerns live here, all dependency-free:
   (``tests/faults/test_serve_chaos.py``) drives both paths.
 
 The request path never touches global RNG state: the model runs in eval
-mode (dropout is identity) on the forward-only fast path, and all
-scratch memory comes from a service-owned :class:`~repro.backend.BufferPool`.
-``tests/serve/test_rng_isolation.py`` pins this down.
+mode (dropout is identity) on the forward-only fast path.
+``tests/serve/test_rng_isolation.py`` pins this down. The forward runs
+in the dtype of the model's parameters: ops follow their inputs, so
+``model.to`` picks the precision, and every op allocates its own output.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import backend
 from repro.core.model import STGNNDJD
 from repro.core.persistence import load_quality_baseline, load_stgnn
 from repro.data.dataset import BikeShareDataset
@@ -222,7 +222,6 @@ class PredictionService:
         self._queue: queue.Queue[_Request | None] = queue.Queue(
             maxsize=self.config.queue_depth
         )
-        self._pool = backend.BufferPool()
         self._cache: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._cache_lock = threading.Lock()
         self._reload_lock = threading.Lock()
@@ -616,7 +615,7 @@ class PredictionService:
                     and config is not None
                     and config.profile_ops
                 )
-                with inference_mode(), backend.buffer_scope(self._pool):
+                with inference_mode():
                     if profiled:
                         # Per-op kernel timing, only on sampled traces:
                         # profile() swap-installs op wrappers, so the

@@ -18,9 +18,9 @@ The early return is the forward-only fast path: under ``no_grad()`` /
 are allocated — per-op overhead drops to one numpy call plus one slotted
 ``Tensor``. Hot-path *fused* ops (:func:`linear`, :func:`sparse_conv1x1`,
 :func:`row_softmax`, :func:`pairwise_scores`) additionally collapse
-multi-op numpy pipelines into single kernels with in-place arithmetic,
-and draw their output buffers from :mod:`repro.backend.pool` when a
-buffer scope is active.
+multi-op numpy pipelines into single kernels with in-place arithmetic.
+Every op computes in the dtype of its inputs and allocates its own
+output: there is no ambient dtype or buffer pool.
 
 Every public op registers itself in :mod:`repro.backend.registry` under
 its function name, giving alternative backends a dispatch seam.
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backend import active_pool, register
+from repro.backend import register
 from repro.tensor import tensor as _tensor_module
 from repro.tensor.tensor import Tensor
 
@@ -71,12 +71,6 @@ def _no_graph(*parents: Tensor) -> bool:
         if parent.requires_grad:
             return False
     return True
-
-
-def _out_buffer(shape: tuple[int, ...], dtype) -> "np.ndarray | None":
-    """A pooled output buffer, or None when no buffer scope is active."""
-    pool = active_pool()
-    return pool.take(shape, dtype) if pool is not None else None
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -226,8 +220,7 @@ def linear(x, weight, bias=None) -> Tensor:
     The hot path of every ``Linear`` layer (and the value/self/mix
     projections of the attention stacks). Fusing the bias add into the
     fresh matmul result saves one full-size temporary and one graph node
-    per call; under an active buffer scope the output is written straight
-    into a pooled scratch array (``np.matmul(..., out=)``).
+    per call.
     """
     x = _wrap(x)
     weight = _wrap(weight)
@@ -236,15 +229,9 @@ def linear(x, weight, bias=None) -> Tensor:
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     if _no_graph(*parents):
-        out = None
-        if x_data.ndim >= 2 and w_data.ndim == 2 and x_data.dtype == w_data.dtype:
-            buffer = _out_buffer(x_data.shape[:-1] + (w_data.shape[-1],), x_data.dtype)
-            if buffer is not None:
-                out = np.matmul(x_data, w_data, out=buffer)
-        if out is None:
-            out = x_data @ w_data
+        out = x_data @ w_data
         if bias is not None:
-            # In-place is safe: `out` is this op's own fresh/pooled array.
+            # In-place is safe: `out` is this op's own fresh array.
             if np.can_cast(bias.data.dtype, out.dtype, casting="same_kind"):
                 out += bias.data
             else:
@@ -330,16 +317,11 @@ def row_softmax(a) -> Tensor:
 
     The attention hot path (Eqs. 12/16 row softmax): the shifted logits
     are exponentiated and normalised in place, so the whole op
-    materialises a single full-size array (pooled under a buffer scope)
-    instead of three.
+    materialises a single full-size array instead of three.
     """
     a = _wrap(a)
     a_data = a.data
-    buffer = _out_buffer(a_data.shape, a_data.dtype) if _no_graph(a) else None
-    if buffer is not None:
-        shifted = np.subtract(a_data, a_data.max(axis=-1, keepdims=True), out=buffer)
-    else:
-        shifted = a_data - a_data.max(axis=-1, keepdims=True)
+    shifted = a_data - a_data.max(axis=-1, keepdims=True)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=-1, keepdims=True)
     data = shifted

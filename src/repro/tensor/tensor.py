@@ -8,20 +8,19 @@ every tensor created with ``requires_grad=True``.
 
 Grad modes
 ----------
-Two context managers disable graph recording. Ops check the flag *before*
-building their backward closure, so a disabled graph costs no closure or
-parent-tuple allocation — the forward is a plain numpy expression plus
-one lightweight ``Tensor`` wrapper:
+Ops check the grad flag *before* building their backward closure, so a
+disabled graph costs no closure or parent-tuple allocation — the forward
+is a plain numpy expression plus one lightweight ``Tensor`` wrapper.
+:func:`no_grad` disables recording (the torch semantics);
+:func:`inference_mode` is the same context manager under a second name
+for serving paths. The flag ``_GRAD_ENABLED`` is the only process global
+an op reads.
 
-* :func:`no_grad` — disables recording (the torch semantics);
-* :func:`inference_mode` — same, plus an optional dtype for the scope
-  (``inference_mode(dtype="float32")`` runs the whole forward in single
-  precision), signalling a pure serving path.
-
-Dtype policy lives in :mod:`repro.backend`: tensors are allocated with
-the backend's default dtype (``float64`` unless scoped otherwise) and
-raw python scalars/sequences entering an op are coerced to the dtype of
-the tensor they combine with — never silently upcast to ``float64``.
+Dtypes: ops follow their inputs; ``model.to`` picks the precision. An op
+result keeps the dtype its numpy expression produces, raw python
+scalars/sequences entering an op take the dtype of the tensor they
+combine with, and ``Tensor(raw)`` is ``float64`` unless the caller names
+a dtype.
 """
 
 from __future__ import annotations
@@ -66,43 +65,8 @@ def no_grad() -> Iterator[None]:
         _GRAD_ENABLED = previous
 
 
-@contextlib.contextmanager
-def inference_mode(dtype: "str | np.dtype | type | None" = None) -> Iterator[None]:
-    """Forward-only fast path: no graph recording, optional dtype scope.
-
-    ``with inference_mode():`` is :func:`no_grad` by another, more
-    explicit name. ``with inference_mode(dtype="float32"):`` additionally
-    makes every tensor created inside the block single precision, which
-    halves memory traffic on the serving hot path. Model parameters are
-    not touched — cast them once with ``module.to(np.float32)`` to keep
-    the whole forward in ``float32``.
-    """
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        if dtype is None:
-            yield
-        else:
-            with backend.dtype_scope(dtype):
-                yield
-    finally:
-        _GRAD_ENABLED = previous
-
-
-def _as_array(
-    value: "Tensor | np.ndarray | float | int | Sequence",
-    dtype: "str | np.dtype | type | None" = None,
-) -> np.ndarray:
-    """Coerce ``value`` to an array of ``dtype`` (default: backend dtype).
-
-    This is the single coercion point for raw operands: python ints,
-    floats and sequences acquire the requested dtype here instead of
-    being silently upcast to ``float64``.
-    """
-    if isinstance(value, Tensor):
-        return value.data
-    return backend.asarray(value, dtype)
+#: Serving-path name for :func:`no_grad`; the two are the same object.
+inference_mode = no_grad
 
 
 class Tensor:
@@ -111,14 +75,13 @@ class Tensor:
     Parameters
     ----------
     data:
-        Anything ``numpy.asarray`` accepts. Stored with the backend's
-        default dtype (``float64`` unless a dtype scope is active) for
-        gradient-check accuracy; pass ``dtype`` to override.
+        Anything ``numpy.asarray`` accepts. Stored as ``float64`` (the
+        precision gradient checks need) unless ``dtype`` names another.
     requires_grad:
         If True, ``backward`` accumulates this tensor's gradient into
         ``self.grad``.
     dtype:
-        Explicit dtype for this tensor, bypassing the backend default.
+        Explicit dtype for this tensor (``float32`` or ``float64``).
     """
 
     __slots__ = (

@@ -1,4 +1,4 @@
-"""The compute backend: dtype policy, allocators, op registry, buffers."""
+"""The compute backend: dtype resolution, coercion, op registry, buffers."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,20 @@ import pytest
 from repro import backend
 from repro.backend import registry
 from repro.backend.pool import BufferPool, active_pool, buffer_scope
+from repro.nn import Linear
+from repro.tensor import Tensor
 
 
 class TestDtypePolicy:
     def test_default_is_float64(self):
-        assert backend.default_dtype() == np.float64
+        """With no ambient dtype, raw values and fresh parameters are
+        float64 unless a dtype is named."""
+        assert backend.asarray(np.ones(3, dtype=np.float32)).dtype == np.float64
+        assert Tensor(np.ones(3, dtype=np.float32)).dtype == np.float64
+        assert Linear(3, 2, rng=np.random.default_rng(0)).param_dtype == np.float64
 
     def test_resolve_none_returns_default(self):
-        assert backend.resolve_dtype(None) == backend.default_dtype()
+        assert backend.resolve_dtype(None) == np.float64
 
     @pytest.mark.parametrize("spec", ["float32", np.float32, np.dtype(np.float32)])
     def test_resolve_spellings(self, spec):
@@ -24,43 +30,14 @@ class TestDtypePolicy:
         with pytest.raises((ValueError, TypeError)):
             backend.resolve_dtype(bad)
 
-    def test_set_default_returns_previous(self):
-        previous = backend.set_default_dtype(np.float32)
-        try:
-            assert previous == np.float64
-            assert backend.default_dtype() == np.float32
-        finally:
-            backend.set_default_dtype(previous)
-        assert backend.default_dtype() == np.float64
-
-    def test_dtype_scope_nests_and_survives_exceptions(self):
-        with backend.dtype_scope(np.float32):
-            assert backend.default_dtype() == np.float32
-            with backend.dtype_scope(np.float64):
-                assert backend.default_dtype() == np.float64
-            assert backend.default_dtype() == np.float32
-        assert backend.default_dtype() == np.float64
-        with pytest.raises(RuntimeError):
-            with backend.dtype_scope(np.float32):
-                raise RuntimeError("boom")
-        assert backend.default_dtype() == np.float64
 
 
 class TestAllocators:
     def test_asarray_casts_to_default(self):
         assert backend.asarray([1, 2, 3]).dtype == np.float64
-        with backend.dtype_scope(np.float32):
-            assert backend.asarray([1, 2, 3]).dtype == np.float32
 
     def test_asarray_explicit_dtype(self):
         assert backend.asarray(1.5, dtype="float32").dtype == np.float32
-
-    def test_shaped_allocators(self):
-        assert backend.zeros((2, 3)).shape == (2, 3)
-        assert np.all(backend.ones((2, 3)) == 1.0)
-        assert backend.empty((4,)).dtype == np.float64
-        with backend.dtype_scope("float32"):
-            assert backend.zeros((2,)).dtype == np.float32
 
 
 class TestRegistry:

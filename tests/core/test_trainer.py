@@ -63,6 +63,13 @@ class TestFit:
         assert len(history.train_loss) < 50
         assert history.stopped_early
 
+    def test_fit_refuses_a_float32_model(self, mini_dataset):
+        model = STGNNDJD.from_dataset(mini_dataset, seed=1).to(np.float32)
+        trainer = Trainer(model, mini_dataset, TrainingConfig(epochs=1))
+        with pytest.raises(ValueError, match="float64"):
+            trainer.fit()
+        assert model.param_dtype == np.float32
+
 
 class TestPredict:
     def test_output_in_original_units(self, trained, mini_dataset):

@@ -14,7 +14,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import backend
 from repro.continual import GraphEvolution, evolve_model
 from repro.core.model import STGNNDJD
 from repro.data.window import FlowWindow
@@ -61,8 +60,7 @@ def test_grow_then_shrink_restores_parameters_bitwise(add):
 def test_grow_then_shrink_forward_matches_goldens_bitwise(golden):
     dataset, model = build()
     round_tripped = _grow_then_shrink(model, 2, seed=11)
-    with backend.dtype_scope(np.float64):
-        outputs = forward_outputs(dataset, round_tripped)
+    outputs = forward_outputs(dataset, round_tripped)
     assert set(outputs) == set(golden)
     for name in golden:
         assert outputs[name].dtype == np.float64
@@ -73,7 +71,7 @@ def test_grow_then_shrink_restores_fcg_and_pcg_bitwise():
     dataset, model = build()
     round_tripped = _grow_then_shrink(model, 2, seed=3)
     sample = dataset.sample(dataset.min_history + T_OFFSETS[0])
-    with backend.dtype_scope(np.float64), inference_mode():
+    with inference_mode():
         fcg_a = build_fcg(model._node_features(sample))
         fcg_b = build_fcg(round_tripped._node_features(sample))
         assert np.array_equal(fcg_a.mask, fcg_b.mask)
@@ -109,7 +107,7 @@ def test_grown_model_preserves_kept_station_forward():
         long_outflow=widen(sample.long_outflow),
         target_demand=np.zeros(n + 2), target_supply=np.zeros(n + 2),
     )
-    with backend.dtype_scope(np.float64), inference_mode():
+    with inference_mode():
         fcg_small = build_fcg(model._node_features(sample))
         fcg_big = build_fcg(grown._node_features(wide_sample))
     assert np.array_equal(fcg_big.mask[:n, :n], fcg_small.mask)

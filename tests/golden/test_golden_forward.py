@@ -59,7 +59,7 @@ class TestFloat32:
         # must keep seeing the original double-precision weights.
         dataset, model = build()
         model32 = model.to(np.float32)
-        with inference_mode(dtype="float32"):
+        with inference_mode():
             for offset in T_OFFSETS:
                 t = dataset.min_history + offset
                 demand, supply = model32(dataset.sample(t))

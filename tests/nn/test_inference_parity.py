@@ -36,10 +36,12 @@ from repro.tensor import Tensor, inference_mode
 # ----------------------------------------------------------------------
 # Case registry: name -> builder(rng) -> (modules, call).
 #
-# ``call()`` creates its input tensors fresh (with requires_grad=True, so
-# the recorded pass genuinely builds a graph) and returns a Tensor or a
-# tuple of Tensors. ``modules`` lists every Module involved, so the
-# float32 test can cast parameters with ``to`` and restore them after.
+# ``call(dtype)`` creates its input tensors fresh in ``dtype`` (with
+# requires_grad=True, so the recorded pass genuinely builds a graph) and
+# returns a Tensor or a tuple of Tensors. Flow windows are data and enter
+# in any dtype. ``modules`` lists every Module involved, so the float32
+# test can cast parameters with ``to`` and restore them after: ops follow
+# their inputs, so the casts and float32 inputs alone select float32.
 # ----------------------------------------------------------------------
 CASES = {}
 
@@ -51,21 +53,21 @@ def case(fn):
 
 def _input(rng, *shape):
     data = rng.normal(size=shape)
-    return lambda: Tensor(data, requires_grad=True)
+    return lambda dtype: Tensor(data, requires_grad=True, dtype=dtype)
 
 
 @case
 def case_linear(rng):
     layer = Linear(5, 3, rng=rng)
     x = _input(rng, 4, 5)
-    return [layer], lambda: layer(x())
+    return [layer], lambda dtype: layer(x(dtype))
 
 
 @case
 def case_linear_no_bias(rng):
     layer = Linear(5, 3, bias=False, rng=rng)
     x = _input(rng, 4, 5)
-    return [layer], lambda: layer(x())
+    return [layer], lambda dtype: layer(x(dtype))
 
 
 @case
@@ -74,80 +76,80 @@ def case_conv1x1(rng):
     layer = Conv1x1(6, (4, 4), rng)
     layer.bias.data = rng.normal(size=(4, 4))
     x = FlowWindow.from_dense(rng.poisson(0.7, size=(6, 4, 4)).astype(float))
-    return [layer], lambda: layer(x, scale=0.3, relu=True)
+    return [layer], lambda dtype: layer(x, scale=0.3, relu=True)
 
 
 @case
 def case_dropout_eval(rng):
     layer = Dropout(0.5, rng=rng)
     x = _input(rng, 4, 5)
-    return [layer], lambda: layer(x())
+    return [layer], lambda dtype: layer(x(dtype))
 
 
 @case
 def case_layer_norm(rng):
     layer = LayerNorm(5)
     x = _input(rng, 4, 5)
-    return [layer], lambda: layer(x())
+    return [layer], lambda dtype: layer(x(dtype))
 
 
 @case
 def case_relu(rng):
     x = _input(rng, 4, 5)
-    return [ReLU()], lambda: ReLU()(x())
+    return [ReLU()], lambda dtype: ReLU()(x(dtype))
 
 
 @case
 def case_elu(rng):
     x = _input(rng, 4, 5)
-    return [ELU()], lambda: ELU()(x())
+    return [ELU()], lambda dtype: ELU()(x(dtype))
 
 
 @case
 def case_sigmoid(rng):
     x = _input(rng, 4, 5)
-    return [Sigmoid()], lambda: Sigmoid()(x())
+    return [Sigmoid()], lambda dtype: Sigmoid()(x(dtype))
 
 
 @case
 def case_tanh(rng):
     x = _input(rng, 4, 5)
-    return [Tanh()], lambda: Tanh()(x())
+    return [Tanh()], lambda dtype: Tanh()(x(dtype))
 
 
 @case
 def case_pairwise_attention(rng):
     layer = PairwiseAdditiveAttention(5, rng)
     x = _input(rng, 7, 5)
-    return [layer], lambda: layer(x())
+    return [layer], lambda dtype: layer(x(dtype))
 
 
 @case
 def case_scaled_dot_attention(rng):
     layer = ScaledDotProductAttention(5, rng)
     x = _input(rng, 7, 5)
-    return [layer], lambda: layer(x())
+    return [layer], lambda dtype: layer(x(dtype))
 
 
 @case
 def case_rnn_encoder(rng):
     layer = RNNEncoder(5, 4, rng)
     x = _input(rng, 6, 5)
-    return [layer], lambda: layer(x())
+    return [layer], lambda dtype: layer(x(dtype))
 
 
 @case
 def case_lstm_encoder(rng):
     layer = LSTMEncoder(5, 4, rng)
     x = _input(rng, 6, 5)
-    return [layer], lambda: layer(x())
+    return [layer], lambda dtype: layer(x(dtype))
 
 
 @case
 def case_gru_encoder(rng):
     layer = GRUEncoder(5, 4, rng)
     x = _input(rng, 6, 5)
-    return [layer], lambda: layer(x())
+    return [layer], lambda dtype: layer(x(dtype))
 
 
 def _graph_inputs(rng, n=5):
@@ -165,8 +167,10 @@ def _graph_inputs(rng, n=5):
 def case_flow_aggregator(rng):
     features, weights, mask = _graph_inputs(rng)
     aggregator = FlowAggregator()
-    return [aggregator], lambda: aggregator(
-        Tensor(features, requires_grad=True), Tensor(weights), mask
+    return [aggregator], lambda dtype: aggregator(
+        Tensor(features, requires_grad=True, dtype=dtype),
+        Tensor(weights, dtype=dtype),
+        mask,
     )
 
 
@@ -174,8 +178,10 @@ def case_flow_aggregator(rng):
 def case_mean_aggregator(rng):
     features, weights, mask = _graph_inputs(rng)
     aggregator = MeanAggregator()
-    return [aggregator], lambda: aggregator(
-        Tensor(features, requires_grad=True), Tensor(weights), mask
+    return [aggregator], lambda dtype: aggregator(
+        Tensor(features, requires_grad=True, dtype=dtype),
+        Tensor(weights, dtype=dtype),
+        mask,
     )
 
 
@@ -183,8 +189,10 @@ def case_mean_aggregator(rng):
 def case_max_aggregator(rng):
     features, weights, mask = _graph_inputs(rng)
     aggregator = MaxAggregator(4, rng)
-    return [aggregator], lambda: aggregator(
-        Tensor(features, requires_grad=True), Tensor(weights), mask
+    return [aggregator], lambda dtype: aggregator(
+        Tensor(features, requires_grad=True, dtype=dtype),
+        Tensor(weights, dtype=dtype),
+        mask,
     )
 
 
@@ -192,7 +200,7 @@ def case_max_aggregator(rng):
 def case_attention_layer(rng):
     layer = _AttentionLayer(6, 2, rng)
     x = _input(rng, 5, 6)
-    return [layer], lambda: layer(x())
+    return [layer], lambda dtype: layer(x(dtype))
 
 
 @case
@@ -203,7 +211,7 @@ def case_flow_convolution(rng):
         for c in (8, 8, 3, 3)
     )
 
-    def call():
+    def call(dtype):
         out = conv(short_in, short_out, long_in, long_out, scale=0.4)
         return out.node_features, out.temporal_inflow, out.temporal_outflow
 
@@ -220,7 +228,7 @@ def case_fcg_pipeline(rng):
         for c in (8, 8, 3, 3)
     )
 
-    def call():
+    def call(dtype):
         out = conv(short_in, short_out, long_in, long_out, scale=0.4)
         graph = build_fcg(out)
         return gnn(graph), graph.weights
@@ -236,10 +244,10 @@ def case_flow_gnn_max(rng):
     gnn = FlowGNN(4, 2, rng, aggregator="max")
     features, weights, mask = _graph_inputs(rng)
 
-    def call():
+    def call(dtype):
         graph = FlowConvolutedGraph(
-            node_features=Tensor(features, requires_grad=True),
-            weights=Tensor(weights),
+            node_features=Tensor(features, requires_grad=True, dtype=dtype),
+            weights=Tensor(weights, dtype=dtype),
             mask=mask,
         )
         return gnn(graph)
@@ -252,9 +260,10 @@ def case_pattern_gnn_attention(rng):
     gnn = PatternGNN(6, 2, 2, rng)
     features = rng.normal(size=(5, 6))
 
-    def call():
+    def call(dtype):
         graph = PatternCorrelationGraph(
-            node_features=Tensor(features, requires_grad=True), attention=None
+            node_features=Tensor(features, requires_grad=True, dtype=dtype),
+            attention=None,
         )
         return gnn(graph)
 
@@ -266,9 +275,10 @@ def case_pattern_gnn_mean(rng):
     gnn = PatternGNN(6, 2, 2, rng, aggregator="mean")
     features = rng.normal(size=(5, 6))
 
-    def call():
+    def call(dtype):
         graph = PatternCorrelationGraph(
-            node_features=Tensor(features, requires_grad=True), attention=None
+            node_features=Tensor(features, requires_grad=True, dtype=dtype),
+            attention=None,
         )
         return gnn(graph)
 
@@ -290,9 +300,9 @@ def test_float64_bitwise_parity(name, rng):
     modules, call = CASES[name](rng)
     for module in modules:
         module.eval()
-    recorded = [t.data.copy() for t in _as_tuple(call())]
+    recorded = [t.data.copy() for t in _as_tuple(call(np.float64))]
     with inference_mode():
-        fast = _as_tuple(call())
+        fast = _as_tuple(call(np.float64))
     for reference, result in zip(recorded, fast, strict=True):
         assert result.dtype == np.float64
         np.testing.assert_array_equal(result.data, reference)
@@ -305,13 +315,13 @@ def test_float32_allclose_parity(name, rng):
     modules, call = CASES[name](rng)
     for module in modules:
         module.eval()
-    recorded = [t.data.copy() for t in _as_tuple(call())]
+    recorded = [t.data.copy() for t in _as_tuple(call(np.float64))]
     snapshots = [module.state_dict() for module in modules]
     for module in modules:
         module.to(np.float32)
     try:
-        with inference_mode(dtype="float32"):
-            fast = _as_tuple(call())
+        with inference_mode():
+            fast = _as_tuple(call(np.float32))
     finally:
         for module, snapshot in zip(modules, snapshots):
             module.to(np.float64)
@@ -346,7 +356,7 @@ class TestFullModel:
         snapshot = model.state_dict()
         model.to(np.float32)
         try:
-            with inference_mode(dtype="float32"):
+            with inference_mode():
                 demand, supply = model(sample)
         finally:
             model.to(np.float64)

@@ -11,7 +11,7 @@ from repro.nn import (
     RNNCell,
     RNNEncoder,
 )
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 
 
 class TestCells:
@@ -67,6 +67,16 @@ class TestEncoders:
         for param in encoder.parameters():
             assert param.grad is not None
             assert np.abs(param.grad).sum() > 0
+
+    @pytest.mark.parametrize("encoder_cls", [RNNEncoder, LSTMEncoder, GRUEncoder])
+    def test_float32_encoder_stays_float32(self, encoder_cls, rng):
+        """The initial states take the sequence's dtype, so a cast encoder
+        runs single precision end to end."""
+        encoder = encoder_cls(2, 4, rng).to(np.float32)
+        sequence = Tensor(rng.normal(size=(5, 3, 2)), dtype=np.float32)
+        with no_grad():
+            out = encoder(sequence)
+        assert out.dtype == np.float32
 
     def test_encoder_deterministic(self):
         x = np.random.default_rng(0).normal(size=(5, 3, 2))

@@ -1,14 +1,13 @@
-"""``inference_mode`` semantics: grad gating, dtype scoping, detach.
+"""``inference_mode`` semantics: grad gating, dtypes, detach.
 
 These tests pin the contract the serving path relies on: inside the
-context no graph state is allocated, tensors adopt the scoped dtype,
-and the global flags are restored even when the body raises.
+context no graph state is allocated, op results keep their inputs'
+dtype, and the grad flag is restored even when the body raises.
 """
 
 import numpy as np
 import pytest
 
-from repro import backend
 from repro.tensor import Tensor, inference_mode, is_grad_enabled, no_grad
 
 
@@ -53,19 +52,6 @@ class TestGradGating:
 
 
 class TestDtypeScoping:
-    def test_tensors_adopt_scoped_dtype(self):
-        with inference_mode(dtype="float32"):
-            t = Tensor(np.ones(3))
-            assert t.dtype == np.float32
-        assert Tensor(np.ones(3)).dtype == np.float64
-
-    def test_dtype_restored_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with inference_mode(dtype="float32"):
-                raise RuntimeError("boom")
-        assert backend.default_dtype() == np.float64
-        assert is_grad_enabled()
-
     def test_scalar_operand_adopts_tensor_dtype(self):
         x = Tensor(np.ones(3), dtype="float32")
         assert (x * 2).dtype == np.float32
@@ -74,14 +60,9 @@ class TestDtypeScoping:
 
     def test_float32_chain_stays_float32(self):
         w = Tensor(np.ones((3, 3)), dtype="float32")
-        with inference_mode(dtype="float32"):
-            out = (Tensor(np.ones((4, 3))) @ w.T).relu().sigmoid()
+        with inference_mode():
+            out = (Tensor(np.ones((4, 3)), dtype="float32") @ w.T).relu().sigmoid()
         assert out.dtype == np.float32
-
-    def test_explicit_dtype_overrides_scope(self):
-        with inference_mode(dtype="float32"):
-            t = Tensor(np.ones(3), dtype=np.float64)
-        assert t.dtype == np.float64
 
 
 class TestDetach:
