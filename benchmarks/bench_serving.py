@@ -5,8 +5,8 @@ A closed-loop load generator drives a running
 
 * ``unbatched`` — ``max_batch=1``: the dispatcher runs one model
   forward per request, the baseline a naive server would pay;
-* ``batched`` — the default micro-batching dispatcher: concurrent
-  requests for the same slot coalesce into a single forward whose
+* ``batched`` — the default micro-batching dispatcher: requests that
+  queue while a forward runs coalesce into the next forward, whose
   result fans out to every waiter.
 
 The forecast cache is disabled for both modes so every *batch* costs a
@@ -116,12 +116,12 @@ def run_bench(smoke: bool = False) -> dict:
     # comparison isolates micro-batching from per-slot caching.
     batched = _measure(
         model, dataset,
-        ServiceConfig(cache=False, max_batch=64, batch_wait_seconds=0.001),
+        ServiceConfig(cache=False, max_batch=64),
         clients, requests_per_client, warmup,
     )
     unbatched = _measure(
         model, dataset,
-        ServiceConfig(cache=False, max_batch=1, batch_wait_seconds=0.0),
+        ServiceConfig(cache=False, max_batch=1),
         clients, requests_per_client, warmup,
     )
 
@@ -142,8 +142,7 @@ def run_bench(smoke: bool = False) -> dict:
         try:
             traced = _measure(
                 model, dataset,
-                ServiceConfig(cache=False, max_batch=64,
-                              batch_wait_seconds=0.001),
+                ServiceConfig(cache=False, max_batch=64),
                 clients, requests_per_client, warmup,
             )
         finally:

@@ -66,8 +66,6 @@ def _validate_args(parser: argparse.ArgumentParser,
     """
     if args.max_batch < 1:
         parser.error(f"--max-batch must be >= 1, got {args.max_batch}")
-    if args.batch_wait < 0:
-        parser.error(f"--batch-wait must be >= 0, got {args.batch_wait}")
     if args.queue_depth < 1:
         parser.error(f"--queue-depth must be >= 1, got {args.queue_depth}")
     if args.reload_poll is not None and args.reload_poll <= 0:
@@ -95,7 +93,6 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
     )
     return ServiceConfig(
         max_batch=args.max_batch,
-        batch_wait_seconds=args.batch_wait,
         queue_depth=args.queue_depth,
         checkpoint_path=args.checkpoint,
         reload_poll_seconds=args.reload_poll if args.checkpoint else None,
@@ -133,9 +130,9 @@ def main(argv: list[str] | None = None) -> None:
                         choices=("deploy", "tiny", "la", "chicago"),
                         help="synthetic city whose history warms the store")
     parser.add_argument("--seed", type=int, default=13)
-    parser.add_argument("--max-batch", type=int, default=64)
-    parser.add_argument("--batch-wait", type=float, default=0.002,
-                        help="micro-batch coalescing window, seconds")
+    parser.add_argument("--max-batch", type=int, default=64,
+                        help="most already-queued requests one forward "
+                             "serves (1: a forward per request)")
     parser.add_argument("--queue-depth", type=int, default=256)
     parser.add_argument("--reload-poll", type=float, default=2.0,
                         help="checkpoint mtime poll interval, seconds")

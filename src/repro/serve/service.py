@@ -7,11 +7,13 @@ forecaster. Three serving concerns live here, all dependency-free:
 * **Micro-batching** — STGNN-DJD predicts *every* station in one
   forward pass, so N concurrent requests for the same slot need one
   model call, not N. Requests enter a bounded queue; a single
-  dispatcher thread drains up to ``max_batch`` of them (waiting at most
-  ``batch_wait_seconds`` for stragglers), runs the forward once, and
-  fans the per-station rows back out. A per-slot forecast cache keyed
-  on ``(frontier, store.version, model_version)`` extends the batching
-  window across dispatches: the cache invalidates itself the moment a
+  dispatcher thread takes the first of them plus whatever is already
+  queued behind it (up to ``max_batch``, never waiting for more), runs
+  the forward once, and fans the per-station rows back out. Requests
+  that arrive while a forward runs therefore share the next one, and a
+  lone request is answered at once. A per-slot forecast cache keyed
+  on ``(frontier, store.version, model_version)`` shares one forward
+  across dispatches too: the cache invalidates itself the moment a
   rollover or late event changes the input windows, or a reload changes
   the weights.
 * **Backpressure** — the admission queue is bounded. When it is full
@@ -103,17 +105,16 @@ class ServiceStopped(ServiceError):
 class ServiceConfig:
     """Serving knobs.
 
-    ``max_batch``/``batch_wait_seconds`` bound the micro-batch window:
-    the dispatcher never coalesces more requests than ``max_batch`` and
-    never delays the first request of a batch longer than the wait.
-    ``queue_depth`` bounds admission; ``request_timeout_seconds`` bounds
-    how long a caller blocks on its result. ``cache=False`` disables the
-    per-slot forecast cache (used by the benchmark's unbatched
-    baseline). ``checkpoint_path`` + ``reload_poll_seconds`` arm the
-    background checkpoint watcher. ``quality`` arms continuous
-    forecast-quality monitoring (forecasts reconciled against realized
-    flows on slot rollover); ``slo`` declares the objectives the
-    ``/status`` endpoint evaluates.
+    ``max_batch`` caps a micro-batch: the dispatcher coalesces at most
+    that many already-queued requests into one forward (``1`` runs one
+    forward per request). ``queue_depth`` bounds admission;
+    ``request_timeout_seconds`` bounds how long a caller blocks on its
+    result. ``cache=False`` disables the per-slot forecast cache (used
+    by the benchmark's unbatched baseline). ``checkpoint_path`` +
+    ``reload_poll_seconds`` arm the background checkpoint watcher.
+    ``quality`` arms continuous forecast-quality monitoring (forecasts
+    reconciled against realized flows on slot rollover); ``slo``
+    declares the objectives the ``/status`` endpoint evaluates.
 
     ``name`` prefixes the service's metric names and fault sites
     (``{name}.requests``, ``{name}.dispatch``, ...). The default is
@@ -130,7 +131,6 @@ class ServiceConfig:
     """
 
     max_batch: int = 64
-    batch_wait_seconds: float = 0.002
     queue_depth: int = 256
     retry_after_seconds: float = 0.05
     retry_jitter: float = 0.5
@@ -145,8 +145,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.batch_wait_seconds < 0:
-            raise ValueError("batch_wait_seconds must be >= 0")
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if not 0.0 <= self.retry_jitter <= 1.0:
@@ -516,15 +514,12 @@ class PredictionService:
             assemble_perf = time.perf_counter()
             first.dequeued_perf = assemble_perf
             batch = [first]
-            deadline = time.monotonic() + self.config.batch_wait_seconds
+            # Take only what is already queued: requests that arrived
+            # behind the previous forward share this one, and a lone
+            # request never waits for company that may not come.
             while len(batch) < self.config.max_batch:
-                remaining = deadline - time.monotonic()
                 try:
-                    nxt = (
-                        self._queue.get_nowait()
-                        if remaining <= 0
-                        else self._queue.get(timeout=remaining)
-                    )
+                    nxt = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if nxt is None:

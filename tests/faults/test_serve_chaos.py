@@ -218,7 +218,7 @@ class TestOverload:
     ):
         service = sync_service(
             served_model, tiny_dataset,
-            max_batch=1, batch_wait_seconds=0.0, queue_depth=2,
+            max_batch=1, queue_depth=2,
             retry_after_seconds=0.123, cache=False,
         )
         picked = threading.Event()

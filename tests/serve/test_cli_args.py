@@ -26,10 +26,6 @@ class TestServiceFlagValidation:
         expect_flag_error(capsys, ["--max-batch", "0"],
                           "--max-batch must be >= 1")
 
-    def test_negative_batch_wait(self, capsys):
-        expect_flag_error(capsys, ["--batch-wait", "-0.1"],
-                          "--batch-wait must be >= 0")
-
     def test_zero_queue_depth(self, capsys):
         expect_flag_error(capsys, ["--queue-depth", "0"],
                           "--queue-depth must be >= 1")
@@ -68,7 +64,7 @@ class TestBuildService:
 
         namespace = argparse.Namespace(
             host="127.0.0.1", port=0, checkpoint=None, city="tiny",
-            seed=13, max_batch=64, batch_wait=0.002,
+            seed=13, max_batch=64,
             queue_depth=256, reload_poll=2.0, events=None,
             events_max_mb=64.0, trace=False, trace_sample=1.0,
             quality=False, quality_window=None, slo_p99=0.25,

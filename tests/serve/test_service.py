@@ -1,5 +1,6 @@
 """PredictionService: batching, caching, backpressure, hot-reload."""
 
+import queue
 import threading
 
 import numpy as np
@@ -106,7 +107,7 @@ class TestDispatcher:
     ):
         service = PredictionService.for_dataset(
             served_model, tiny_dataset,
-            config=ServiceConfig(max_batch=32, batch_wait_seconds=0.05),
+            config=ServiceConfig(max_batch=32),
         )
         # store.sample() runs exactly once per actual model forward, so
         # counting it measures how many forwards 16 concurrent requests
@@ -137,13 +138,95 @@ class TestDispatcher:
         for result in results[1:]:
             np.testing.assert_array_equal(result.demand, reference.demand)
 
+    def test_lone_request_is_not_held_for_stragglers(
+        self, served_model, tiny_dataset
+    ):
+        # A queue that records every blocking get() made while a batch
+        # is being assembled, i.e. between taking a batch's first
+        # request and starting its forward. Draining what is already
+        # queued uses get_nowait() (block=False); a wait for stragglers
+        # would show up here as a blocking get with a timeout.
+        service = PredictionService.for_dataset(served_model, tiny_dataset)
+        assembling = threading.Event()
+        waits: list = []
+
+        class RecordingQueue(queue.Queue):
+            def get(self, block=True, timeout=None):
+                if block and assembling.is_set():
+                    waits.append(timeout)
+                item = super().get(block, timeout)
+                if item is not None:
+                    assembling.set()
+                return item
+
+        service._queue = RecordingQueue(maxsize=service.config.queue_depth)
+        original = service._full_forecast
+
+        def forward(model, version):
+            assembling.clear()
+            return original(model, version)
+
+        service._full_forecast = forward
+        with service:
+            for _ in range(3):
+                service.predict(timeout=10.0)
+        assert waits == []
+
+    def test_requests_queued_behind_a_forward_share_the_next(
+        self, served_model, tiny_dataset
+    ):
+        # cache=False, so only coalescing can save a forward: N requests
+        # that queue while the first forward runs must cost exactly one
+        # more forward between them.
+        service = PredictionService.for_dataset(
+            served_model, tiny_dataset, config=ServiceConfig(cache=False),
+        )
+        forwards = 0
+        original_sample = service.store.sample
+
+        def counting_sample():
+            nonlocal forwards
+            forwards += 1
+            return original_sample()
+
+        service.store.sample = counting_sample
+        release = threading.Event()
+        first_picked = threading.Event()
+        original = service._full_forecast
+
+        def blocking(model, version):
+            if not first_picked.is_set():
+                first_picked.set()
+                release.wait(timeout=10.0)
+            return original(model, version)
+
+        service._full_forecast = blocking
+        with service:
+            first = _Request(None)
+            service._queue.put_nowait(first)
+            assert first_picked.wait(timeout=5.0)  # dispatcher is busy
+            backlog = [_Request(None) for _ in range(5)]
+            for request in backlog:
+                service._queue.put_nowait(request)
+            release.set()
+            for request in [first, *backlog]:
+                assert request.done.wait(timeout=10.0)
+                assert request.error is None
+        assert forwards == 2
+        reference = backlog[0].forecast
+        for request in [first, *backlog[1:]]:
+            np.testing.assert_array_equal(request.forecast.demand,
+                                          reference.demand)
+            np.testing.assert_array_equal(request.forecast.supply,
+                                          reference.supply)
+
     def test_backpressure_rejects_when_queue_full(
         self, served_model, tiny_dataset
     ):
         service = PredictionService.for_dataset(
             served_model, tiny_dataset,
             config=ServiceConfig(
-                max_batch=1, batch_wait_seconds=0.0, queue_depth=2,
+                max_batch=1, queue_depth=2,
                 retry_after_seconds=0.123,
             ),
         )
