@@ -32,7 +32,7 @@ from repro.nn import (
     Parameter,
     init,
 )
-from repro.tensor import Tensor, concat, is_grad_enabled
+from repro.tensor import Tensor, concat
 
 
 class FlowGNN(Module):
@@ -63,7 +63,6 @@ class FlowGNN(Module):
             raise ValueError(f"num_layers must be >= 1, got {num_layers}")
         self.features = features
         self.num_layers = num_layers
-        self.aggregator_kind = aggregator
         self.aggregators = ModuleList(
             [make_fcg_aggregator(aggregator, features, rng) for _ in range(num_layers)]
         )
@@ -73,31 +72,11 @@ class FlowGNN(Module):
         self.dropout = Dropout(dropout, rng=rng)
 
     def forward(self, graph: FlowConvolutedGraph) -> Tensor:
-        # Fused path only in eval mode: in train mode the in-loop dropout
-        # must still fire even under no_grad (e.g. MC-style sampling).
-        if not is_grad_enabled() and not self.training and self.aggregator_kind == "flow":
-            return Tensor._from_data(
-                self._forward_inference(graph.node_features.data, graph.weights.data)
-            )
         embedding = graph.node_features
         for aggregator, transform in zip(self.aggregators, self.transforms):
             pooled = aggregator(embedding, graph.weights, graph.mask)
             embedding = transform(concat([embedding, pooled], axis=1)).relu()
             embedding = self.dropout(embedding)
-        return embedding
-
-    def _forward_inference(self, embedding: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Fused no-grad forward for the flow aggregator (serving path).
-
-        Same expressions as the recorded ops — flow pooling is a single
-        matmul, the GraphSAGE update one fused affine + ReLU — so float64
-        results are bitwise identical; dropout is identity in eval mode.
-        """
-        for transform in self.transforms:
-            pooled = weights @ embedding
-            stacked = np.concatenate([embedding, pooled], axis=1)
-            out = stacked @ transform.weight.data + transform.bias.data
-            embedding = out * (out > 0)
         return embedding
 
 
@@ -146,32 +125,12 @@ class _AttentionLayer(Module):
         )
 
     def forward(self, features: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            return Tensor._from_data(self._forward_inference(features.data))
         head_outputs = []
         for attention, value, self_proj in zip(self.attentions, self.values, self.selves):
             alpha = attention(features)  # (n, n), rows sum to 1
             pooled = alpha @ value(features) + self_proj(features)
             head_outputs.append(pooled.elu())
         return concat(head_outputs, axis=1) @ self.mix
-
-    def _forward_inference(self, features: np.ndarray) -> np.ndarray:
-        """Whole-layer fused forward for the no-grad serving path.
-
-        One python call per layer instead of ~8 recorded ops per head;
-        each expression mirrors its op counterpart exactly, so float64
-        results are bitwise identical to the recorded-graph forward.
-        """
-        heads = []
-        for attention, value, self_proj in zip(self.attentions, self.values, self.selves):
-            alpha = attention.weights_data(features)
-            pooled = alpha @ (features @ value.weight.data) + (
-                features @ self_proj.weight.data
-            )
-            heads.append(
-                np.where(pooled > 0, pooled, np.exp(np.minimum(pooled, 0.0)) - 1.0)
-            )
-        return np.concatenate(heads, axis=1) @ self.mix.data
 
     def attention_matrices(self, features: Tensor) -> list[Tensor]:
         """Per-head attention weights for this layer's input (case study)."""

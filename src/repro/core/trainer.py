@@ -32,7 +32,7 @@ from repro.core.persistence import (
 from repro.data.dataset import BikeShareDataset
 from repro.faults import fault_point
 from repro.nn import joint_demand_supply_loss, mse_loss
-from repro.obs import ObservabilityConfig, RunRecorder, span
+from repro.obs import ObservabilityConfig, RunRecorder
 from repro.obs.registry import default_registry
 from repro.obs.trace import trace_span
 from repro.optim import Adam, clip_grad_norm
@@ -208,8 +208,7 @@ class Trainer:
             with trace_span("trainer.fit", epochs=epochs):
                 for epoch in range(start_epoch, epochs):
                     fault_point("trainer.epoch")
-                    with span("epoch", epoch=epoch), \
-                            trace_span("trainer.epoch", epoch=epoch):
+                    with trace_span("trainer.epoch", epoch=epoch):
                         epoch_loss = self._run_epoch(train_idx)
                         val_loss = self.validation_loss(val_idx)
                     history.train_loss.append(epoch_loss)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.flow_convolution import FlowConvolutionOutput
-from repro.tensor import Tensor, is_grad_enabled
+from repro.tensor import Tensor
 
 _EPS = 1e-12
 
@@ -71,16 +71,6 @@ def build_fcg(flow_output: FlowConvolutionOutput) -> FlowConvolutedGraph:
     np.fill_diagonal(mask, True)
 
     features = flow_output.node_features
-    if not is_grad_enabled():
-        # Forward-only fast path: same expressions on raw arrays (float64
-        # results are bitwise identical to the recorded ops below).
-        f = features.data
-        positive = (f * (f > 0)) * mask.astype(f.dtype)
-        row_sums = positive.sum(axis=1, keepdims=True)
-        weights = positive / (row_sums + f.dtype.type(_EPS))
-        return FlowConvolutedGraph(
-            node_features=features, weights=Tensor._from_data(weights), mask=mask
-        )
     # The float mask matches the feature dtype so a float32 forward stays
     # float32 end to end.
     positive = features.relu() * Tensor(mask, dtype=features.data.dtype)

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.data.window import FlowWindow
 from repro.nn import Conv1x1, Module, Parameter, init
-from repro.tensor import Tensor, concat, gated_fusion, is_grad_enabled
+from repro.tensor import Tensor, concat, gated_fusion
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,23 +110,19 @@ class FlowConvolution(Module):
         entries; every count is multiplied by ``scale`` (the model's
         input normalisation) inside the convolution.
         """
-        if not is_grad_enabled():
-            return self._forward_inference(
-                short_inflow, short_outflow, long_inflow, long_outflow, scale
-            )
         # Eqs. 1-4, the input scale and the ReLU fused into the conv op.
         inflow_short = self.short_inflow_conv(short_inflow, scale, relu=True)
         outflow_short = self.short_outflow_conv(short_outflow, scale, relu=True)
         inflow_long = self.long_inflow_conv(long_inflow, scale, relu=True)
         outflow_long = self.long_outflow_conv(long_outflow, scale, relu=True)
 
-        # Eqs. 5-8. The two-way softmax over {short, long} scores is
-        # computed as a sigmoid of the score difference, which is exactly
-        # exp(a)/(exp(a)+exp(b)) but immune to overflow.
-        temporal_inflow = self._gated_fusion(inflow_short, inflow_long, self.gate_inflow)
-        temporal_outflow = self._gated_fusion(
-            outflow_short, outflow_long, self.gate_outflow
-        )
+        # Eqs. 5-8: beta_S = exp(W . short) / (exp(W . short) + exp(W . long))
+        # with W applied elementwise, beta_L = 1 - beta_S. The fused op
+        # computes the two-way softmax as a sigmoid of the score
+        # difference, which is exactly exp(a)/(exp(a)+exp(b)) but immune
+        # to overflow.
+        temporal_inflow = gated_fusion(inflow_short, inflow_long, self.gate_inflow)
+        temporal_outflow = gated_fusion(outflow_short, outflow_long, self.gate_outflow)
 
         # Eq. 9: T = (I_hat || O_hat) W7, concatenating feature columns.
         combined = concat([temporal_inflow, temporal_outflow], axis=1)  # (n, 2n)
@@ -136,61 +132,3 @@ class FlowConvolution(Module):
             temporal_inflow=temporal_inflow,
             temporal_outflow=temporal_outflow,
         )
-
-    def _forward_inference(
-        self,
-        short_inflow: FlowWindow,
-        short_outflow: FlowWindow,
-        long_inflow: FlowWindow,
-        long_outflow: FlowWindow,
-        scale: float,
-    ) -> FlowConvolutionOutput:
-        """Whole-component fused forward for the no-grad serving path.
-
-        One python call replaces ~25 recorded ops. Eqs. 1-4 run the same
-        ``sparse_conv1x1`` op as the recorded graph, and every later
-        expression mirrors its op counterpart (sigmoid, the gated blend)
-        term for term, so float64 results are bitwise identical to the
-        recorded-graph forward.
-        """
-        inflow_short = self.short_inflow_conv(short_inflow, scale, relu=True).data
-        outflow_short = self.short_outflow_conv(short_outflow, scale, relu=True).data
-        inflow_long = self.long_inflow_conv(long_inflow, scale, relu=True).data
-        outflow_long = self.long_outflow_conv(long_outflow, scale, relu=True).data
-
-        temporal_inflow = self._gated_fusion_data(
-            inflow_short, inflow_long, self.gate_inflow.data
-        )
-        temporal_outflow = self._gated_fusion_data(
-            outflow_short, outflow_long, self.gate_outflow.data
-        )
-        combined = np.concatenate([temporal_inflow, temporal_outflow], axis=1)
-        return FlowConvolutionOutput(
-            node_features=Tensor._from_data(combined @ self.projection.data),
-            temporal_inflow=Tensor._from_data(temporal_inflow),
-            temporal_outflow=Tensor._from_data(temporal_outflow),
-        )
-
-    @staticmethod
-    def _gated_fusion_data(
-        short: np.ndarray, long: np.ndarray, gate: np.ndarray
-    ) -> np.ndarray:
-        """Numpy twin of :meth:`_gated_fusion` (same expressions)."""
-        diff = gate * short - gate * long
-        positive = diff >= 0
-        exp_neg = np.exp(np.where(positive, -diff, diff))
-        beta_short = np.where(
-            positive, 1.0 / (1.0 + exp_neg), exp_neg / (1.0 + exp_neg)
-        )
-        return beta_short * short + (1.0 - beta_short) * long
-
-    @staticmethod
-    def _gated_fusion(short: Tensor, long: Tensor, gate: Parameter) -> Tensor:
-        """Attentive short/long blend (Eqs. 5-8), elementwise.
-
-        ``beta_S = exp(W . short) / (exp(W . short) + exp(W . long))``
-        with ``W`` applied elementwise (Hadamard); ``beta_L = 1-beta_S``.
-        Dispatches to the fused ``gated_fusion`` op: one recorded op and
-        closure for the whole blend.
-        """
-        return gated_fusion(short, long, gate)

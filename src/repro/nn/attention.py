@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, is_grad_enabled, ops
+from repro.tensor import Tensor, ops
 
 
 class PairwiseAdditiveAttention(Module):
@@ -50,31 +50,10 @@ class PairwiseAdditiveAttention(Module):
 
     def forward(self, features: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Row-softmaxed attention matrix ``alpha`` (Eq. 12 / Eq. 16)."""
-        if mask is None and not is_grad_enabled():
-            return Tensor._from_data(self.weights_data(features.data))
         raw = self.scores(features)
         if mask is None:
             return ops.row_softmax(raw)
         return ops.masked_softmax(raw, mask, axis=-1)
-
-    def weights_data(self, features: np.ndarray) -> np.ndarray:
-        """Whole-module fused forward on raw arrays (no-grad serving path).
-
-        One python call replaces the projection / score / softmax op
-        chain. Every expression matches its op counterpart term for term
-        (:func:`~repro.tensor.ops.pairwise_scores`,
-        :func:`~repro.tensor.ops.row_softmax`), so float64 results are
-        bitwise identical to the recorded-graph forward.
-        """
-        projected = features @ self.weight.data
-        src = projected @ self.attn_src.data  # (n, 1)
-        dst = projected @ self.attn_dst.data  # (n, 1)
-        pre = src + dst.T
-        raw = np.where(pre > 0, pre, np.exp(np.minimum(pre, 0.0)) - 1.0)
-        shifted = raw - raw.max(axis=-1, keepdims=True)
-        np.exp(shifted, out=shifted)
-        shifted /= shifted.sum(axis=-1, keepdims=True)
-        return shifted
 
 
 class ScaledDotProductAttention(Module):

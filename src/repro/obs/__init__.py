@@ -8,9 +8,8 @@ pillars:
   :func:`default_registry`. Disabled by default: instrumented call
   sites cost one branch until :func:`enable_metrics` (or a run
   recorder) switches them on.
-* **tracing/profiling** (:mod:`repro.obs.spans`,
-  :mod:`repro.obs.trace`, :mod:`repro.obs.profiler`) — nestable
-  :func:`span` timings for run structure; distributed request tracing
+* **tracing/profiling** (:mod:`repro.obs.trace`,
+  :mod:`repro.obs.profiler`) — request and run tracing
   (:func:`trace_span`, W3C ``traceparent`` propagation,
   ``python -m repro.obs.trace`` timeline reconstruction); and
   :func:`profile` for per-op call counts / wall time / bytes over the
@@ -61,7 +60,6 @@ from repro.obs.events import (
     sink_scope,
     validate_event,
 )
-from repro.obs.spans import current_span, span, span_stack
 from repro.obs.trace import (
     TRACEPARENT_HEADER,
     TraceConfig,
@@ -107,9 +105,6 @@ __all__ = [
     "sink_scope",
     "validate_event",
     # tracing / profiling
-    "span",
-    "span_stack",
-    "current_span",
     "TRACEPARENT_HEADER",
     "TraceConfig",
     "TraceContext",

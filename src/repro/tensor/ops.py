@@ -351,11 +351,11 @@ def pairwise_scores(projected, attn_src, attn_dst, alpha: float = 1.0) -> Tensor
     src = p_data @ attn_src.data  # (n, 1)
     dst = p_data @ attn_dst.data  # (n, 1)
     pre = src + dst.T  # (n, n) broadcast outer sum
-    positive = pre > 0
     # Same expression as ops.elu, reusing `pre` for the negative branch.
-    data = np.where(positive, pre, alpha * (np.exp(np.minimum(pre, 0.0)) - 1.0))
+    data = np.where(pre > 0, pre, alpha * (np.exp(np.minimum(pre, 0.0)) - 1.0))
     if _no_graph(projected, attn_src, attn_dst):
         return Tensor._from_data(data)
+    positive = pre > 0
 
     def backward(grad):
         grad_pre = grad * np.where(positive, 1.0, data + alpha)
@@ -723,10 +723,10 @@ def relu(a) -> Tensor:
 def elu(a, alpha: float = 1.0) -> Tensor:
     """ELU, the PCG attention activation (sigma_2 in the paper, Eq. 11)."""
     a = _wrap(a)
-    positive = a.data > 0
-    data = np.where(positive, a.data, alpha * (np.exp(np.minimum(a.data, 0.0)) - 1.0))
+    data = np.where(a.data > 0, a.data, alpha * (np.exp(np.minimum(a.data, 0.0)) - 1.0))
     if _no_graph(a):
         return Tensor._from_data(data)
+    positive = a.data > 0
 
     def backward(grad):
         return (grad * np.where(positive, 1.0, data + alpha),)

@@ -132,8 +132,6 @@ class Tensor:
 
     @property
     def T(self) -> "Tensor":
-        from repro.tensor import ops
-
         return ops.transpose(self)
 
     def item(self) -> float:
@@ -302,140 +300,88 @@ class Tensor:
     # Operator overloads (implemented in ops.py to keep this file lean)
     # ------------------------------------------------------------------
     def __add__(self, other):
-        from repro.tensor import ops
-
         return ops.add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        from repro.tensor import ops
-
         return ops.sub(self, other)
 
     def __rsub__(self, other):
-        from repro.tensor import ops
-
         return ops.sub(other, self)
 
     def __mul__(self, other):
-        from repro.tensor import ops
-
         return ops.mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        from repro.tensor import ops
-
         return ops.div(self, other)
 
     def __rtruediv__(self, other):
-        from repro.tensor import ops
-
         return ops.div(other, self)
 
     def __neg__(self):
-        from repro.tensor import ops
-
         return ops.neg(self)
 
     def __pow__(self, exponent: float):
-        from repro.tensor import ops
-
         return ops.pow(self, exponent)
 
     def __matmul__(self, other):
-        from repro.tensor import ops
-
         return ops.matmul(self, other)
 
     def __getitem__(self, index):
-        from repro.tensor import ops
-
         return ops.getitem(self, index)
 
     # Convenience method forms -----------------------------------------
     def matmul(self, other):
-        from repro.tensor import ops
-
         return ops.matmul(self, other)
 
     def sum(self, axis=None, keepdims: bool = False):
-        from repro.tensor import ops
-
         return ops.sum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims: bool = False):
-        from repro.tensor import ops
-
         return ops.mean(self, axis=axis, keepdims=keepdims)
 
     def max(self, axis=None, keepdims: bool = False):
-        from repro.tensor import ops
-
         return ops.max(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
-        from repro.tensor import ops
-
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return ops.reshape(self, shape)
 
     def transpose(self, axes=None):
-        from repro.tensor import ops
-
         return ops.transpose(self, axes)
 
     def exp(self):
-        from repro.tensor import ops
-
         return ops.exp(self)
 
     def log(self):
-        from repro.tensor import ops
-
         return ops.log(self)
 
     def sqrt(self):
-        from repro.tensor import ops
-
         return ops.sqrt(self)
 
     def abs(self):
-        from repro.tensor import ops
-
         return ops.abs(self)
 
     def relu(self):
-        from repro.tensor import ops
-
         return ops.relu(self)
 
     def elu(self, alpha: float = 1.0):
-        from repro.tensor import ops
-
         return ops.elu(self, alpha)
 
     def sigmoid(self):
-        from repro.tensor import ops
-
         return ops.sigmoid(self)
 
     def tanh(self):
-        from repro.tensor import ops
-
         return ops.tanh(self)
 
     def softmax(self, axis: int = -1):
-        from repro.tensor import ops
-
         return ops.softmax(self, axis=axis)
 
     def clip(self, low: float | None = None, high: float | None = None):
-        from repro.tensor import ops
-
         return ops.clip(self, low, high)
 
 
@@ -471,3 +417,8 @@ def _topological_order(root: Tensor) -> list[Tensor]:
 
 def _raise_item() -> float:
     raise ValueError("item() requires a single-element tensor")
+
+
+# The operator methods above look ``ops`` up at call time; it binds last
+# because ops imports ``Tensor`` from this module.
+from repro.tensor import ops  # noqa: E402

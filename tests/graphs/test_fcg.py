@@ -150,22 +150,13 @@ class TestModelGraphsAreDense:
     def test_pcg_attention_is_dense_row_stochastic(self, n, inference, monkeypatch):
         matrices = []
         forward = PairwiseAdditiveAttention.forward
-        weights_data = PairwiseAdditiveAttention.weights_data
 
         def forward_spy(self, features, mask=None):
             alpha = forward(self, features, mask)
             matrices.append(alpha.data)
             return alpha
 
-        def weights_data_spy(self, features):
-            alpha = weights_data(self, features)
-            matrices.append(alpha)
-            return alpha
-
         monkeypatch.setattr(PairwiseAdditiveAttention, "forward", forward_spy)
-        monkeypatch.setattr(
-            PairwiseAdditiveAttention, "weights_data", weights_data_spy
-        )
         self.forward(n, inference)
         assert len(matrices) == 2  # one per head
         for alpha in matrices:

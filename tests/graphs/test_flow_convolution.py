@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.window import FlowWindow
 from repro.graphs import FlowConvolution
-from repro.tensor import Tensor
+from repro.tensor import Tensor, gated_fusion
 
 
 @pytest.fixture
@@ -40,14 +40,14 @@ class TestFlowConvolution:
         short = Tensor(np.full((4, 4), 2.0))
         long = Tensor(np.full((4, 4), 6.0))
         gate = FlowConvolution(4, 2, 2, rng).gate_inflow
-        fused = FlowConvolution._gated_fusion(short, long, gate)
+        fused = gated_fusion(short, long, gate)
         assert (fused.data >= 2.0 - 1e-12).all()
         assert (fused.data <= 6.0 + 1e-12).all()
 
     def test_fusion_identity_when_equal(self, rng):
         value = Tensor(np.full((3, 3), 5.0))
         gate = FlowConvolution(3, 2, 2, rng).gate_inflow
-        fused = FlowConvolution._gated_fusion(value, value, gate)
+        fused = gated_fusion(value, value, gate)
         np.testing.assert_allclose(fused.data, 5.0)
 
     def test_features_are_dynamic(self, flow_conv, rng):

@@ -1,11 +1,13 @@
 """Inference-mode parity with the recorded-graph forward.
 
-The forward-only fast path (``inference_mode``) must be *behaviour
-preserving*: for every nn layer, the fused model components, and all
-aggregators, its float64 output is bitwise identical to the
-recorded-graph forward, its float32 output matches within single
-precision, and no autograd state (``_parents`` / ``_backward`` /
-``requires_grad``) is retained on any result.
+A forward under ``inference_mode`` runs the same module code as a
+recorded one; only each op's ``_no_graph`` early return differs. These
+cases guard that early return against the op's recording branch: for
+every nn layer, model component and aggregator, the no-graph float64
+output is bitwise identical to the recorded-graph forward, its float32
+output matches within single precision, and no autograd state
+(``_parents`` / ``_backward`` / ``requires_grad``) is retained on any
+result.
 """
 
 import numpy as np

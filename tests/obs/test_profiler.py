@@ -7,7 +7,7 @@ import pytest
 
 from repro.backend import registry as backend_registry
 from repro.obs import FUSED_OPS, profile
-from repro.tensor import Tensor, ops
+from repro.tensor import Tensor, inference_mode, ops
 
 
 class TestDispatchCounting:
@@ -62,6 +62,24 @@ class TestDispatchCounting:
         first, second = profiled_step(), profiled_step()
         assert first == second
         assert sum(first.values()) > 0
+
+
+    def test_inference_forward_dispatches_every_stage(self, tiny_dataset):
+        """A no-grad forward runs the same ops as a recorded one, so the
+        profiler sees every stage: one attention score and softmax per
+        PCG head (3 layers x 4 heads) and one gated blend per flow
+        direction."""
+        from repro import STGNNDJD
+
+        model = STGNNDJD.from_dataset(tiny_dataset, seed=0)
+        model.eval()
+        sample = tiny_dataset.sample(tiny_dataset.min_history)
+        with inference_mode(), profile() as prof:
+            model(sample)
+        calls = {name: s.calls for name, s in prof.stats.items()}
+        assert calls.get("pairwise_scores") == 12
+        assert calls.get("row_softmax") == 12
+        assert calls.get("gated_fusion") == 2
 
 
 class TestFusedCoverage:

@@ -48,7 +48,7 @@ class TestInstrumentedTraining:
         assert kinds[0] == "run_start"
         assert kinds[-1] == "run_end"
         assert kinds.count("epoch") == len(report.epochs) == 2
-        assert kinds.count("span") == 2  # one per epoch
+        assert "span" not in kinds  # spans come from tracing, off here
         assert events[0]["data"]["config"]["epochs"] == 2
 
     def test_epoch_records_carry_throughput(self, mini_dataset, tmp_path):
@@ -63,7 +63,6 @@ class TestInstrumentedTraining:
         _, report, _ = fit_instrumented(mini_dataset, tmp_path, "metrics")
         # train epochs + validation both pass through _sample_loss
         assert report.metrics["trainer.samples"]["value"] > 0
-        assert report.metrics["span.epoch.seconds"]["count"] == 2
 
     def test_telemetry_off_by_default(self, mini_dataset, tmp_path):
         registry = default_registry()
