@@ -12,10 +12,10 @@ story (Sec. VII-I), built in three layers:
   loaded STGNN-DJD behind the forward-only fast path with request
   micro-batching, bounded-queue backpressure, a per-slot forecast
   cache, and atomic checkpoint hot-reload.
-* :mod:`repro.serve.http` — a stdlib ``ThreadingHTTPServer`` exposing
-  ``/predict``, ``/ingest``, ``/healthz``, ``/metrics`` and
-  ``/admin/reload``; ``python -m repro.serve`` boots it from the
-  command line.
+* :mod:`repro.serve.http` — a stdlib ``HTTPServer`` with parked
+  handler threads exposing ``/predict``, ``/ingest``, ``/healthz``,
+  ``/metrics`` and ``/admin/reload``; ``python -m repro.serve`` boots
+  it from the command line.
 
 One city is one store and one service, as in the paper: a single model
 forecasts every station in one forward pass.

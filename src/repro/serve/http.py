@@ -1,12 +1,22 @@
 """Stdlib HTTP front end for the prediction service.
 
-A :class:`ThreadingHTTPServer` whose handler threads feed a shared
-:class:`~repro.serve.service.PredictionService`:
+An :class:`~http.server.HTTPServer` whose handler threads feed a
+shared :class:`~repro.serve.service.PredictionService`. Each accepted
+connection goes to a parked (idle) handler thread; a new thread starts
+only when every handler is busy, so no connection waits behind another
+and none pays for a thread start once the server is warm.
+:meth:`ServingHTTPServer.server_close` ends the parked handler threads.
 
 * ``POST /ingest``   — body ``{"trips": [{"origin", "destination",
-  "start_time", "end_time"}, ...]}`` (or a single trip object); events
-  fold into the flow-state store, the response reports accepted/dropped
-  counts and the current frontier slot.
+  "start_time", "end_time"}, ...]}`` (or a single trip object); the
+  trips fold into the flow-state store as one batch
+  (:meth:`~repro.serve.state.FlowStateStore.ingest_events`), the
+  response reports accepted/dropped counts and the current frontier
+  slot. A malformed trip anywhere in the body (missing field, bad
+  station id, start before slot 0) is a ``400`` and no trip of the
+  body is applied. Under ``late_policy="error"`` a trip behind the
+  retained horizon is a ``400`` too, but the trips before it stay
+  applied.
 * ``GET|POST /predict`` — optional ``?stations=0,3,7`` query (GET) or
   ``{"stations": [...]}`` body (POST); answers with denormalised demand
   and supply for the frontier slot. ``503`` with a ``Retry-After``
@@ -27,6 +37,9 @@ back to the caller. With tracing enabled, one request's JSONL spans
 reconstruct the full path — HTTP handling, queue wait, batch assembly,
 forward kernels, serialization — via ``python -m repro.obs.trace``.
 
+A body whose ``Content-Length`` is not a non-negative integer is a
+``400`` before any of it is read.
+
 Request handling is deliberately thin: parse, delegate, serialize.
 Every serving decision (batching, backpressure, caching, reload
 atomicity) lives in the service layer where it is unit-testable without
@@ -36,7 +49,9 @@ sockets.
 from __future__ import annotations
 
 import json
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import queue
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, urlparse
 
 import numpy as np
@@ -55,14 +70,60 @@ from repro.utils import get_logger
 logger = get_logger("serve.http")
 
 
-class ServingHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer bound to one PredictionService."""
+class ServingHTTPServer(HTTPServer):
+    """HTTPServer bound to one PredictionService, with parked handler threads.
 
-    daemon_threads = True
+    Each accepted connection goes to an idle handler thread; a new
+    daemon thread starts only when none is idle, so a connection never
+    waits behind a busy handler and the thread count tracks the peak
+    number of concurrent connections. A handler parks again once its
+    connection is closed.
+    """
 
     def __init__(self, address: tuple[str, int], service: PredictionService) -> None:
         super().__init__(address, ServingHandler)
         self.service = service
+        self._idle: list[queue.SimpleQueue] = []  # inboxes of parked handlers
+        self._idle_lock = threading.Lock()
+        self._closed = False
+
+    def process_request(self, request, client_address) -> None:
+        with self._idle_lock:
+            inbox = self._idle.pop() if self._idle else None
+        if inbox is None:
+            inbox = queue.SimpleQueue()
+            threading.Thread(
+                target=self._handle, args=(inbox,), name="http-handler", daemon=True
+            ).start()
+        inbox.put((request, client_address))
+
+    def _handle(self, inbox: queue.SimpleQueue) -> None:
+        """A handler thread: serve each connection handed over, then park."""
+        while (job := inbox.get()) is not None:
+            request, client_address = job
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._idle_lock:
+                if self._closed:
+                    return
+                self._idle.append(inbox)
+
+    def server_close(self) -> None:
+        """Close the listening socket and end the parked handler threads.
+
+        A handler still serving a connection ends once that connection
+        closes; waiting for it could hang on a client that never sends.
+        """
+        super().server_close()
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for inbox in idle:
+            inbox.put(None)
 
 
 class ServingHandler(BaseHTTPRequestHandler):
@@ -94,7 +155,14 @@ class ServingHandler(BaseHTTPRequestHandler):
         return trace_span(name, parent=parent, method=self.command)
 
     def _read_json(self) -> dict | None:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(400, {"error": f"bad Content-Length {raw!r}"})
+            return None
         if length == 0:
             return {}
         try:
@@ -168,17 +236,13 @@ class ServingHandler(BaseHTTPRequestHandler):
                 self._send_json(400, {"error": "'trips' must be a list"})
                 return
             store = self.server.service.store
-            accepted = dropped = 0
             try:
-                for trip in trips:
-                    ok = store.ingest_event(
-                        int(trip["origin"]),
-                        int(trip["destination"]),
-                        float(trip["start_time"]),
-                        float(trip["end_time"]),
-                    )
-                    accepted += ok
-                    dropped += not ok
+                events = [
+                    (int(trip["origin"]), int(trip["destination"]),
+                     float(trip["start_time"]), float(trip["end_time"]))
+                    for trip in trips
+                ]
+                accepted = store.ingest_events(events)
             except (KeyError, TypeError):
                 self._send_json(400, {
                     "error": "each trip needs origin, destination, start_time, end_time"
@@ -187,6 +251,7 @@ class ServingHandler(BaseHTTPRequestHandler):
             except ValueError as error:
                 self._send_json(400, {"error": str(error)})
                 return
+            dropped = len(events) - accepted
             span.set(status=200, accepted=accepted, dropped_late=dropped)
             self._send_json(200, {
                 "accepted": accepted,

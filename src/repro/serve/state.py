@@ -26,6 +26,11 @@ Mechanics
   canonical entries (:func:`repro.data.window.canonical_entries`) once
   and keeps them; an event landing later invalidates just that row's
   canonical form, which the next read rebuilds.
+* **Batches** — :meth:`FlowStateStore.ingest_events` validates a whole
+  batch (station ids, start slot, per-event fault seams) before it
+  applies any event, then applies them in order under one lock hold,
+  exactly as the same events one :meth:`~FlowStateStore.ingest_event`
+  call at a time would; a malformed event rejects its batch untouched.
 * **In-transit inflow** — a trip that ends after the frontier parks its
   inflow event in a pending per-slot list, which becomes the slot's
   inflow row when the frontier reaches it. This mirrors the batch
@@ -56,6 +61,7 @@ a literal per-trip dense oracle.
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +69,7 @@ import numpy as np
 from repro.data.dataset import BikeShareDataset, FlowSample
 from repro.data.records import SECONDS_PER_DAY, TripRecord
 from repro.data.window import FlowSlots, FlowWindow, canonical_entries
-from repro.faults import fault_point, fault_transform
+from repro.faults import active_plan, fault_point, fault_transform
 from repro.obs.registry import default_registry
 
 
@@ -182,7 +188,8 @@ class _SlotEntries:
 
 
 class FlowStateStore:
-    """Rolling inflow/outflow state, updated one trip event at a time.
+    """Rolling inflow/outflow state, updated one trip event (or one
+    batch of them) at a time.
 
     Thread-safe: ingest/advance/sample take an internal lock, so HTTP
     handler threads can feed the store while the prediction dispatcher
@@ -309,71 +316,94 @@ class FlowStateStore:
     ) -> bool:
         """Fold one (origin, destination, start, end) event into the state.
 
-        The frontier auto-advances when the event starts in a future
-        slot, so a store fed in event-time order needs no external
-        clock. Returns ``True`` if the event was applied, ``False`` if
-        it was dropped by the late policy.
+        A one-event :meth:`ingest_events`. Returns ``True`` if the event
+        was applied, ``False`` if it was dropped by the late policy.
         """
-        # Chaos seams: "state.clock" lets a plan skew this event's
-        # timestamps in flight (modelling feed clock drift); the skewed
-        # times then flow through the exact same validation and late
-        # policy as real ones. "state.ingest" can raise or hang per event.
-        fault_point("state.ingest")
-        start_time, end_time = fault_transform(
-            "state.clock", (start_time, end_time)
-        )
+        return self.ingest_events(((origin, destination, start_time, end_time),)) == 1
+
+    def ingest_events(self, events: Iterable[tuple[int, int, float, float]]) -> int:
+        """Fold ``(origin, destination, start, end)`` events in order;
+        returns how many were applied (the rest were dropped as late).
+
+        Every event is validated before any is applied, so a bad station
+        id or a start before slot 0 anywhere in ``events`` raises with
+        the store untouched. The events are then applied under one lock
+        hold. The frontier auto-advances when an event starts in a
+        future slot, so a store fed in event-time order needs no
+        external clock. Under ``late_policy="error"`` a
+        :class:`LateEventError` stops the batch at the late event: the
+        events before it stay applied and counted.
+        """
         n = self.config.num_stations
-        if not (0 <= origin < n and 0 <= destination < n):
-            raise ValueError(
-                f"station ids must be in 0..{n - 1}, got {origin}->{destination}"
-            )
         slot_seconds = self.config.slot_seconds
-        start_slot = int(start_time // slot_seconds)
-        end_slot = int(end_time // slot_seconds)
-        if start_slot < 0:
-            raise ValueError(f"event starts before slot 0 (start_time={start_time})")
-        with self._lock:
-            if start_slot > self._frontier:
-                self.advance_to(start_slot)
-            if start_slot <= self._frontier - self._capacity:
-                if self.config.late_policy == "error":
-                    raise LateEventError(
-                        f"event starting in slot {start_slot} is behind the "
-                        f"retained horizon (oldest retained: "
-                        f"{self._frontier - self.config.retention})"
-                    )
-                self._late_dropped_counter.inc()
-                return False
+        # Chaos seams, per event, when a plan is armed: "state.clock"
+        # lets it skew the timestamps in flight (modelling feed clock
+        # drift); the skewed times then flow through the exact same
+        # validation and late policy as real ones. "state.ingest" can
+        # raise or hang per event.
+        armed = active_plan() is not None
+        slots = []
+        for origin, destination, start_time, end_time in events:
+            if armed:
+                fault_point("state.ingest")
+                start_time, end_time = fault_transform(
+                    "state.clock", (start_time, end_time)
+                )
+            if not (0 <= origin < n and 0 <= destination < n):
+                raise ValueError(
+                    f"station ids must be in 0..{n - 1}, got {origin}->{destination}"
+                )
+            start_slot = int(start_time // slot_seconds)
+            if start_slot < 0:
+                raise ValueError(
+                    f"event starts before slot 0 (start_time={start_time})"
+                )
+            slots.append((origin, destination, start_slot, int(end_time // slot_seconds)))
+        applied = dropped = 0
+        # acquire/release rather than ``with``: on CPython 3.11 the
+        # context-manager protocol doubles the lock's cost, which a
+        # one-event call (``ingest_event``) would feel.
+        self._lock.acquire()
+        try:
             n = self.config.num_stations  # re-read: evolution may resize
-            self._outflow[start_slot % self._capacity].events.append(
-                origin * n + destination
-            )
-            if start_slot < self._frontier:
-                # A late checkout changed an already-closed slot: any
-                # forecast computed from the old windows is stale.
-                self.version += 1
-            self._apply_inflow(destination * n + origin, end_slot)
-            self._events_counter.inc()
-            return True
-
-    def _apply_inflow(self, cell: int, end_slot: int) -> None:
-        """Credit an inflow to flat ``cell`` at ``end_slot``, wherever that
-        slot lives.
-
-        Matches the batch builder: returns before slot 0 are ignored,
-        returns beyond the frontier wait in the pending map, returns
-        behind the horizon fall off (they can never be read again).
-        """
-        if end_slot < 0:
-            return
-        if end_slot > self._frontier:
-            self._pending_inflow.setdefault(end_slot, []).append(cell)
-            return
-        if end_slot <= self._frontier - self._capacity:
-            return  # behind the horizon: unreadable, matches eviction
-        self._inflow[end_slot % self._capacity].events.append(cell)
-        if end_slot < self._frontier:
-            self.version += 1
+            capacity = self._capacity
+            inflow, outflow, pending = self._inflow, self._outflow, self._pending_inflow
+            frontier = self._frontier
+            for origin, destination, start_slot, end_slot in slots:
+                if start_slot > frontier:
+                    self.advance_to(start_slot)
+                    frontier = start_slot
+                if start_slot <= frontier - capacity:
+                    if self.config.late_policy == "error":
+                        raise LateEventError(
+                            f"event starting in slot {start_slot} is behind "
+                            f"the retained horizon (oldest retained: "
+                            f"{frontier - self.config.retention})"
+                        )
+                    dropped += 1
+                    continue
+                outflow[start_slot % capacity].events.append(origin * n + destination)
+                if start_slot < frontier:
+                    # A late checkout changed an already-closed slot: any
+                    # forecast computed from the old windows is stale.
+                    self.version += 1
+                # The return, as the batch builder counts it: none before
+                # slot 0, pending past the frontier, none behind the
+                # horizon (unreadable, matches eviction).
+                if end_slot > frontier:
+                    pending.setdefault(end_slot, []).append(destination * n + origin)
+                elif end_slot >= 0 and end_slot > frontier - capacity:
+                    inflow[end_slot % capacity].events.append(destination * n + origin)
+                    if end_slot < frontier:
+                        self.version += 1
+                applied += 1
+        finally:
+            if applied:
+                self._events_counter.inc(applied)
+            if dropped:
+                self._late_dropped_counter.inc(dropped)
+            self._lock.release()
+        return applied
 
     # ------------------------------------------------------------------
     # Rollover

@@ -1,22 +1,25 @@
 """HTTP front end: endpoints, error mapping, metrics exposition."""
 
+import contextlib
 import json
+import socket
+import sys
 import threading
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.core import STGNNDJD, save_checkpoint
-from repro.obs import metrics_scope
+from repro.obs import default_registry, metrics_scope
 from repro.serve import PredictionService, ServiceConfig, make_server
 from repro.serve.service import _Request
 
 
-@pytest.fixture
-def server(tiny_dataset):
-    model = STGNNDJD.from_dataset(tiny_dataset, seed=3)
-    service = PredictionService.for_dataset(model, tiny_dataset)
+@contextlib.contextmanager
+def _serving(service):
+    """A started service behind a live HTTP server, torn down on exit."""
     http_server = make_server(service, port=0)
     thread = threading.Thread(target=http_server.serve_forever, daemon=True)
     thread.start()
@@ -28,6 +31,13 @@ def server(tiny_dataset):
         http_server.shutdown()
         http_server.server_close()
         thread.join(timeout=5.0)
+
+
+@pytest.fixture
+def server(tiny_dataset):
+    model = STGNNDJD.from_dataset(tiny_dataset, seed=3)
+    with _serving(PredictionService.for_dataset(model, tiny_dataset)) as http_server:
+        yield http_server
 
 
 def _url(server, path):
@@ -126,6 +136,133 @@ class TestEndpoints:
         assert excinfo.value.code == 500
         status, _ = _get(server, "/predict")  # old model still answers
         assert status == 200
+
+
+def _raw_request(server, head: bytes) -> bytes:
+    """Send raw request bytes; return everything the server answers."""
+    with socket.create_connection(server.server_address[:2], timeout=10.0) as conn:
+        conn.sendall(head)
+        chunks = []
+        while chunk := conn.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("length", [b"abc", b"-1"])
+    def test_bad_content_length_is_400(self, server, length):
+        # No body follows: a handler that trusted the header would
+        # crash on "abc" and block on -1 until the client hung up.
+        reply = _raw_request(
+            server, b"POST /ingest HTTP/1.0\r\nContent-Length: " + length + b"\r\n\r\n"
+        )
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1] == b"400"
+        assert b"Content-Length" in rest.partition(b"\r\n\r\n")[2]
+
+
+class TestAtomicIngest:
+    def test_malformed_trip_applies_no_trip_of_its_batch(self, server, tiny_dataset):
+        store = server.service.store
+        slot_seconds = tiny_dataset.config.slot_seconds
+        now = store.frontier * slot_seconds + 1.0
+        later = now + 2 * slot_seconds  # would advance the frontier
+        trips = [
+            {"origin": 0, "destination": 3, "start_time": later, "end_time": later + 60.0},
+            {"origin": 2, "destination": 1, "start_time": now, "end_time": now + 90.0},
+            {"origin": 1, "destination": 2, "start_time": now},  # no end_time
+        ]
+        with metrics_scope():
+            registry = default_registry()
+            counters = [registry.counter("serve.ingest_events"),
+                        registry.counter("serve.ingest_dropped_late")]
+            before = [c.value for c in counters]
+            version, frontier = store.version, store.frontier
+            first, inflow, outflow = store.retained_flows()
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(server, "/ingest", {"trips": trips})
+            assert excinfo.value.code == 400
+            assert [c.value for c in counters] == before
+        assert (store.version, store.frontier) == (version, frontier)
+        after_first, after_inflow, after_outflow = store.retained_flows()
+        assert after_first == first
+        for a, b in ((after_inflow, inflow), (after_outflow, outflow)):
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.index, b.index)
+            assert np.array_equal(a.count, b.count)
+
+
+def _handler_spy(server) -> list[threading.Thread]:
+    """The thread object that served each connection, in order."""
+    seen = []
+    finish_request = server.finish_request
+
+    def spy(request, client_address):
+        seen.append(threading.current_thread())
+        finish_request(request, client_address)
+
+    server.finish_request = spy
+    return seen
+
+
+class TestHandlerThreads:
+    def test_sequential_requests_reuse_parked_handlers(self, server):
+        # Thread objects, not get_ident(): the OS reuses the ids of
+        # exited threads, so ids undercount fresh threads.
+        seen = _handler_spy(server)
+        for _ in range(20):
+            assert _get(server, "/healthz")[0] == 200
+        assert len(seen) == 20
+        assert len(set(seen)) <= 2
+
+    def test_concurrent_connections_are_all_served(self, server):
+        # More clients than cores and a short switch interval, so
+        # handlers park and get picked up while others are mid-request.
+        seen = _handler_spy(server)
+        statuses = []
+
+        def client():
+            for _ in range(10):
+                statuses.append(_get(server, "/healthz")[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(8)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in clients)
+        assert statuses == [200] * 80
+        # Each client holds one connection, and its previous handler
+        # may still be parking: two threads per client at most.
+        assert len(set(seen)) <= 16
+
+    def test_server_close_ends_every_handler_thread(self, tiny_dataset):
+        model = STGNNDJD.from_dataset(tiny_dataset, seed=3)
+        with _serving(PredictionService.for_dataset(model, tiny_dataset)) as http_server:
+            seen = _handler_spy(http_server)
+            for _ in range(5):
+                assert _get(http_server, "/healthz")[0] == 200
+        assert seen
+        for thread in seen:
+            thread.join(timeout=5.0)
+        assert not any(thread.is_alive() for thread in seen)
+
+    def test_server_close_does_not_wait_for_a_silent_client(self, tiny_dataset):
+        model = STGNNDJD.from_dataset(tiny_dataset, seed=3)
+        with _serving(PredictionService.for_dataset(model, tiny_dataset)) as http_server:
+            silent = socket.create_connection(http_server.server_address[:2])
+            assert _get(http_server, "/healthz")[0] == 200  # it was accepted
+            http_server.shutdown()
+            closer = threading.Thread(target=http_server.server_close)
+            closer.start()
+            closer.join(timeout=5.0)
+            assert not closer.is_alive()
+            silent.close()
 
 
 class TestOverloadMapping:

@@ -92,6 +92,17 @@ class TestIngest:
         assert inflow[9 - first, 0, 1] == 1.0
         assert store.version > version  # forecast caches must invalidate
 
+    def test_dirty_return_into_a_closed_slot_bumps_version(self):
+        # Checkout in the open slot, return stamped one slot earlier: only
+        # the inflow lands behind the frontier, and that alone is stale.
+        store = FlowStateStore(_config())
+        store.advance_to(10)
+        version = store.version
+        assert store.ingest(_trip(1, 0, start_slot=10, end_slot=9))
+        first, inflow, _ = retained_tensors(store)
+        assert inflow[9 - first, 0, 1] == 1.0
+        assert store.version == version + 1
+
     def test_event_behind_horizon_dropped_by_default(self):
         store = FlowStateStore(_config())
         store.advance_to(100)

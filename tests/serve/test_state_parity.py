@@ -7,10 +7,13 @@ rollover — asserting that :class:`FlowStateStore`'s retained slots,
 densified, are **bitwise** equal to the literal per-trip dense oracle
 (:func:`tests.flow_oracle.build_flow_tensors`) over the same history,
 and that its sparse windows equal a :class:`BikeShareDataset`'s
-canonical windows entry for entry.
+canonical windows entry for entry. Batched delivery
+(:meth:`FlowStateStore.ingest_events`) must leave the store bitwise
+equal to per-event delivery of the same stream.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +26,8 @@ from repro.data import (
     build_flow_slots,
 )
 from repro.data.records import TripRecord
-from repro.serve import FlowStateConfig, FlowStateStore
+from repro.obs import metrics_scope
+from repro.serve import FlowStateConfig, FlowStateStore, LateEventError
 from repro.tensor import inference_mode
 from tests.flow_oracle import build_flow_tensors, retained_tensors
 from tests.windows import assert_sample_windows_equal
@@ -205,3 +209,97 @@ def test_interleaved_ingest_and_rollover_matches_batch():
     finalized = num_slots - first
     assert np.array_equal(inflow[:finalized], batch_inflow[first:num_slots])
     assert np.array_equal(outflow[:finalized], batch_outflow[first:num_slots])
+
+
+def _ingest_counts(feed) -> tuple[float, float]:
+    """``(applied, dropped late)`` counter increments while ``feed`` runs."""
+    with metrics_scope() as registry:
+        applied = registry.counter("serve.ingest_events")
+        dropped = registry.counter("serve.ingest_dropped_late")
+        before = applied.value, dropped.value
+        feed()
+        return applied.value - before[0], dropped.value - before[1]
+
+
+def assert_same_store(a: FlowStateStore, b: FlowStateStore) -> None:
+    """Frontier, version, pending inflow and every retained slot's
+    canonical entries are bitwise equal."""
+    assert (a.frontier, a.version) == (b.frontier, b.version)
+    assert a._pending_inflow == b._pending_inflow
+    (first_a, *flows_a), (first_b, *flows_b) = a.retained_flows(), b.retained_flows()
+    assert first_a == first_b
+    for x, y in zip(flows_a, flows_b):
+        for name in ("indptr", "index", "count"):
+            u, v = getattr(x, name), getattr(y, name)
+            assert u.dtype == v.dtype and np.array_equal(u, v)
+
+
+@given(event_streams(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_batched_ingest_equals_per_event_ingest(stream, data):
+    """Random batch boundaries change nothing: slots, version, frontier,
+    pending inflow and both ingest counters match per-event delivery."""
+    num_stations, num_slots, trips, short_window, long_days = stream
+    config = FlowStateConfig(
+        num_stations=num_stations, slot_seconds=SLOT,
+        short_window=short_window, long_days=long_days,
+    )
+    # Trailing slot-0 trips: dropped as late once the frontier has moved
+    # a whole horizon past slot 0, applied in place before that.
+    stale = data.draw(st.integers(min_value=0, max_value=3))
+    events = [(t.origin, t.destination, t.start_time, t.end_time) for t in trips]
+    events += [(0, 1, 10.0, 20.0)] * stale
+    cuts = sorted(data.draw(st.lists(
+        st.integers(min_value=0, max_value=len(events)), max_size=8
+    )))
+    batches = [events[i:j] for i, j in zip([0, *cuts], [*cuts, len(events)])]
+
+    per_event, batched = FlowStateStore(config), FlowStateStore(config)
+    expected = _ingest_counts(
+        lambda: [per_event.ingest_event(*event) for event in events]
+    )
+    counts = _ingest_counts(
+        lambda: [batched.ingest_events(batch) for batch in batches]
+    )
+    assert counts == expected
+    assert_same_store(batched, per_event)
+    per_event.advance_to(num_slots)
+    batched.advance_to(num_slots)
+    assert_same_store(batched, per_event)
+
+
+def test_late_error_mid_batch_keeps_the_applied_prefix_and_exact_counters():
+    """Under ``late_policy="error"`` a late event stops its batch: the
+    events before it stay applied and counted, none after it run."""
+    config = FlowStateConfig(
+        num_stations=3, slot_seconds=SLOT, short_window=4, long_days=1,
+        late_policy="error",
+    )
+    store, reference = FlowStateStore(config), FlowStateStore(config)
+    now = 60 * SLOT  # capacity is 49: slot 11 and older are behind it
+    head = [(0, 1, now + 1.0, now + 2.0), (2, 0, now + 5.0, now + 3 * SLOT)]
+    batch = [*head, (1, 2, 10.0, 20.0), (1, 0, now + 9.0, now + 10.0)]
+
+    def feed():
+        with pytest.raises(LateEventError):
+            store.ingest_events(batch)
+
+    assert _ingest_counts(feed) == (2.0, 0.0)
+    for event in head:
+        reference.ingest_event(*event)
+    assert_same_store(store, reference)
+
+
+def test_bad_station_anywhere_rejects_the_whole_batch():
+    config = FlowStateConfig(
+        num_stations=3, slot_seconds=SLOT, short_window=4, long_days=1,
+    )
+    store = FlowStateStore(config)
+    batch = [(0, 1, 5 * SLOT, 6 * SLOT), (1, 2, 5 * SLOT, 7 * SLOT), (3, 0, 0.0, 1.0)]
+
+    def feed():
+        with pytest.raises(ValueError, match="station ids"):
+            store.ingest_events(batch)
+
+    assert _ingest_counts(feed) == (0.0, 0.0)
+    assert_same_store(store, FlowStateStore(config))
