@@ -25,6 +25,7 @@ path clears the 1.5x speedup bar over the recorded-graph path.
 """
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,6 @@ from _harness import (
     get_stgnn_trainer,
     op_profile,
 )
-from repro.utils import Timer
 
 WARMUP = 3
 REPEATS = 30
@@ -66,12 +66,10 @@ def _recorded_predict(trainer, t: int):
 def _time_calls(fn, indices, repeats: int = REPEATS) -> float:
     for i in range(WARMUP):
         fn(int(indices[i % len(indices)]))
-    timer = Timer()
+    start = time.perf_counter()
     for i in range(repeats):
-        t = int(indices[i % len(indices)])
-        with timer:
-            fn(t)
-    return timer.mean
+        fn(int(indices[i % len(indices)]))
+    return (time.perf_counter() - start) / repeats
 
 
 def measured_latencies(city: str) -> dict[str, float]:

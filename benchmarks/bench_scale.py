@@ -27,7 +27,9 @@ pull the measured ratio below that. A ratio of 4x or more means
 something grows faster than n^2, such as an ``(n, n, f)`` cube or a
 per-size copy kept alive.
 
-Results go to ``BENCH_scale.json`` at the repo root.
+A full run writes its results to ``BENCH_scale.json`` at the repo
+root (or ``--output``). ``--smoke`` writes nothing unless ``--output``
+is given, so a quick check never overwrites the committed results.
 
 Usage::
 
@@ -96,7 +98,7 @@ def _peak_rss_bytes() -> int:
 def _run_child(n: int, days: int) -> None:
     from _harness import op_profile
     from repro import STGNNDJD, Trainer, TrainingConfig, generate_city
-    from repro.serve import PredictionService, ServiceConfig
+    from repro.serve import PredictionService
     from repro.tensor import inference_mode
 
     start = time.perf_counter()
@@ -121,19 +123,16 @@ def _run_child(n: int, days: int) -> None:
 
     # One served /predict round trip (the online path must work at
     # every size, chicago_571 included), at the last sampleable slot so
-    # the offline forward can be taken at the same frontier.
-    # cache=False so the timed request pays a real forward rather than
-    # hitting the per-slot forecast cache the warm request primed.
+    # the offline forward can be taken at the same frontier. The offline
+    # forward runs first: the timed request is the service's first, so
+    # it misses the forecast cache and pays a real forward.
     frontier = dataset.num_slots - 1
-    with PredictionService.for_dataset(
-        model, dataset, config=ServiceConfig(cache=False), frontier=frontier
-    ) as service:
-        service.predict(timeout=600.0)  # warm
+    with inference_mode():
+        demand, supply = model(dataset.sample(frontier))
+    with PredictionService.for_dataset(model, dataset, frontier=frontier) as service:
         tick = time.perf_counter()
         served = service.predict(timeout=600.0)
         serve_seconds = time.perf_counter() - tick
-    with inference_mode():
-        demand, supply = model(dataset.sample(frontier))
     served_matches_offline = bool(
         served.slot == frontier
         and np.array_equal(
@@ -196,7 +195,9 @@ def main() -> int:
                         help="CI gate: n=24 only")
     parser.add_argument("--days", type=int, default=DAYS)
     parser.add_argument("--n", type=int, help=argparse.SUPPRESS)
-    parser.add_argument("--output", type=Path, default=RESULTS_PATH)
+    parser.add_argument("--output", type=Path, default=None,
+                        help=f"results file (default: {RESULTS_PATH.name}; "
+                             "--smoke writes none unless given)")
     parser.add_argument("--_child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
@@ -240,8 +241,10 @@ def main() -> int:
                 f"(>= {RSS_RATIO_LIMIT}x limit)"
             )
 
-    args.output.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {args.output}")
+    output = args.output or (None if args.smoke else RESULTS_PATH)
+    if output is not None:
+        output.write_text(json.dumps(results, indent=2) + "\n")
+        print(f"wrote {output}")
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

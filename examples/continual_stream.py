@@ -129,12 +129,12 @@ def main() -> int:
     quality = QualityConfig(window=2 * spd, min_samples=1)
     live = PredictionService(
         model, store, warmup.demand_normalizer, warmup.supply_normalizer,
-        config=ServiceConfig(name="serve.live", quality=quality, cache=False),
+        config=ServiceConfig(name="serve.live", quality=quality),
     ).start()
     frozen_model = load_stgnn(ckpt)
     frozen = PredictionService(
         frozen_model, store, warmup.demand_normalizer, warmup.supply_normalizer,
-        config=ServiceConfig(name="serve.frozen", quality=quality, cache=False),
+        config=ServiceConfig(name="serve.frozen", quality=quality),
     ).start()
     learner = ContinualLearner(
         store, live, warmup.registry,

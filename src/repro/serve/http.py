@@ -38,7 +38,10 @@ reconstruct the full path — HTTP handling, queue wait, batch assembly,
 forward kernels, serialization — via ``python -m repro.obs.trace``.
 
 A body whose ``Content-Length`` is not a non-negative integer is a
-``400`` before any of it is read.
+``400`` before any of it is read. A connection that sends nothing for
+the service's ``request_timeout_seconds`` is closed, and one whose body
+stops short of its ``Content-Length`` for that long gets a ``408``, so
+a silent client cannot hold a handler thread.
 
 Request handling is deliberately thin: parse, delegate, serialize.
 Every serving decision (batching, backpressure, caching, reload
@@ -130,6 +133,11 @@ class ServingHandler(BaseHTTPRequestHandler):
     server: ServingHTTPServer
 
     # -- plumbing -------------------------------------------------------
+    def setup(self) -> None:
+        # StreamRequestHandler.setup() applies ``timeout`` to the socket.
+        self.timeout = self.server.service.config.request_timeout_seconds
+        super().setup()
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         logger.debug("%s - %s", self.address_string(), format % args)
 
@@ -166,7 +174,13 @@ class ServingHandler(BaseHTTPRequestHandler):
         if length == 0:
             return {}
         try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+            body = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True
+            self._send_json(408, {"error": "request body timed out"})
+            return None
+        try:
+            payload = json.loads(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             self._send_json(400, {"error": "malformed JSON body"})
             return None

@@ -109,9 +109,9 @@ class ServiceConfig:
     that many already-queued requests into one forward (``1`` runs one
     forward per request). ``queue_depth`` bounds admission;
     ``request_timeout_seconds`` bounds how long a caller blocks on its
-    result. ``cache=False`` disables the per-slot forecast cache (used
-    by the benchmark's unbatched baseline). ``checkpoint_path`` +
-    ``reload_poll_seconds`` arm the background checkpoint watcher.
+    result, and how long an HTTP handler waits on a silent client.
+    ``checkpoint_path`` + ``reload_poll_seconds`` arm the background
+    checkpoint watcher.
     ``quality`` arms continuous forecast-quality monitoring (forecasts
     reconciled against realized flows on slot rollover); ``slo``
     declares the objectives the ``/status`` endpoint evaluates.
@@ -135,7 +135,6 @@ class ServiceConfig:
     retry_after_seconds: float = 0.05
     retry_jitter: float = 0.5
     request_timeout_seconds: float = 30.0
-    cache: bool = True
     checkpoint_path: str | None = None
     reload_poll_seconds: float | None = None
     quality: QualityConfig | None = None
@@ -147,6 +146,13 @@ class ServiceConfig:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
+        if not self.request_timeout_seconds > 0:
+            # It is also the handler's socket timeout, where 0 would mean
+            # non-blocking reads and a negative value is refused.
+            raise ValueError(
+                "request_timeout_seconds must be positive, "
+                f"got {self.request_timeout_seconds}"
+            )
         if not 0.0 <= self.retry_jitter <= 1.0:
             raise ValueError(
                 f"retry_jitter must be in 0..1, got {self.retry_jitter}"
@@ -577,22 +583,21 @@ class PredictionService:
         # a (frontier, version) pair torn by a concurrent ingest matches
         # no cached key. A miss keys on what sample_with_version() read.
         key = (store.frontier, store.version, version)
-        if self.config.cache:
-            with self._cache_lock:
-                hit = self._cache.get(key)
-            if hit is not None:
-                self._cache_hits.inc()
-                demand, supply = hit
-                return Forecast(
-                    slot=key[0],
-                    stations=np.arange(store.config.num_stations),
-                    demand=demand,
-                    supply=supply,
-                    model_version=version,
-                    cached=True,
-                    stale=self._reload_failed,
-                )
-            self._cache_misses.inc()
+        with self._cache_lock:
+            hit = self._cache.get(key)
+        if hit is not None:
+            self._cache_hits.inc()
+            demand, supply = hit
+            return Forecast(
+                slot=key[0],
+                stations=np.arange(store.config.num_stations),
+                demand=demand,
+                supply=supply,
+                model_version=version,
+                cached=True,
+                stale=self._reload_failed,
+            )
+        self._cache_misses.inc()
         if model.training:
             # Other code sharing the model object (e.g. a Trainer whose
             # predict() flips back to train mode) must not re-arm
@@ -641,11 +646,10 @@ class PredictionService:
             return dataclasses.replace(fallback, stale=True)
         demand.setflags(write=False)
         supply.setflags(write=False)
-        if self.config.cache:
-            with self._cache_lock:
-                self._cache[key] = (demand, supply)
-                while len(self._cache) > 8:  # keep only the freshest slots
-                    self._cache.pop(next(iter(self._cache)))
+        with self._cache_lock:
+            self._cache[key] = (demand, supply)
+            while len(self._cache) > 8:  # keep only the freshest slots
+                self._cache.pop(next(iter(self._cache)))
         forecast = Forecast(
             slot=sample.t,
             stations=np.arange(store.config.num_stations),

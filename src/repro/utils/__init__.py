@@ -1,7 +1,6 @@
-"""Shared utilities: seeding, timing, and lightweight logging."""
+"""Shared utilities: seeding and lightweight logging."""
 
 from repro.utils.seeding import seeded_rng, spawn_rngs
-from repro.utils.timer import Timer
 from repro.utils.logging import get_logger, set_global_level
 
-__all__ = ["seeded_rng", "spawn_rngs", "Timer", "get_logger", "set_global_level"]
+__all__ = ["seeded_rng", "spawn_rngs", "get_logger", "set_global_level"]

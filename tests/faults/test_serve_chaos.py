@@ -48,7 +48,7 @@ class TestStaleFallback:
     def test_forward_failure_serves_last_good_as_stale(
         self, served_model, tiny_dataset
     ):
-        service = sync_service(served_model, tiny_dataset, cache=False)
+        service = sync_service(served_model, tiny_dataset)
         with metrics_scope():
             registry = default_registry()
             registry.reset()
@@ -56,6 +56,8 @@ class TestStaleFallback:
             good = service.predict()
             assert good.stale is False
 
+            # A new slot, so the faulted predict misses the forecast cache.
+            service.store.advance_to(service.store.frontier + 1)
             plan = FaultPlan(seed=0).on("serve.forecast", at=1)
             with injected(plan):
                 degraded = service.predict()
@@ -71,7 +73,7 @@ class TestStaleFallback:
     def test_forward_failure_with_no_fallback_raises(
         self, served_model, tiny_dataset
     ):
-        service = sync_service(served_model, tiny_dataset, cache=False)
+        service = sync_service(served_model, tiny_dataset)
         plan = FaultPlan(seed=0).on("serve.forecast", at=1)
         with injected(plan):
             with pytest.raises(InjectedFault):
@@ -83,7 +85,7 @@ class TestStaleFallback:
         # "serve.dispatch" fires before the forecast: the error is
         # forwarded to that batch's callers, and the dispatch loop keeps
         # serving the next batch.
-        service = sync_service(served_model, tiny_dataset, cache=False)
+        service = sync_service(served_model, tiny_dataset)
         plan = FaultPlan(seed=0).on("serve.dispatch", at=1)
         with service:
             with injected(plan):
@@ -219,7 +221,7 @@ class TestOverload:
         service = sync_service(
             served_model, tiny_dataset,
             max_batch=1, queue_depth=2,
-            retry_after_seconds=0.123, cache=False,
+            retry_after_seconds=0.123,
         )
         picked = threading.Event()
         release = threading.Event()

@@ -11,10 +11,11 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.core import STGNNDJD, save_checkpoint
+from repro.core import STGNNDJD, load_stgnn, save_checkpoint
 from repro.obs import default_registry, metrics_scope
-from repro.serve import PredictionService, ServiceConfig, make_server
+from repro.serve import FlowStateStore, PredictionService, ServiceConfig, make_server
 from repro.serve.service import _Request
+from repro.tensor import inference_mode
 
 
 @contextlib.contextmanager
@@ -138,6 +139,70 @@ class TestEndpoints:
         assert status == 200
 
 
+class TestLibraryParity:
+    """The HTTP path serves exactly what the library computes."""
+
+    @staticmethod
+    def _library_forecast(checkpoint, store, dataset):
+        model = load_stgnn(checkpoint)
+        with inference_mode():
+            demand, supply = model(store.sample())
+        return (dataset.demand_normalizer.inverse_transform(demand.data),
+                dataset.supply_normalizer.inverse_transform(supply.data))
+
+    def test_predict_matches_a_mirror_store_before_and_after_reload(
+        self, tiny_dataset, tmp_path
+    ):
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+        save_checkpoint(STGNNDJD.from_dataset(tiny_dataset, seed=3), first)
+        save_checkpoint(STGNNDJD.from_dataset(tiny_dataset, seed=4), second)
+        service = PredictionService.from_checkpoint(
+            first, FlowStateStore.from_dataset(tiny_dataset),
+            tiny_dataset.demand_normalizer, tiny_dataset.supply_normalizer,
+        )
+        # Fed the same trips through the library API, not over HTTP.
+        mirror = FlowStateStore.from_dataset(tiny_dataset)
+        slot_seconds = tiny_dataset.config.slot_seconds
+        now = mirror.frontier * slot_seconds
+        trips = [
+            {"origin": 0, "destination": 5,
+             "start_time": now + 30.0, "end_time": now + 400.0},
+            {"origin": 3, "destination": 1,
+             "start_time": now + 45.0, "end_time": now + 2 * slot_seconds},
+            {"origin": 6, "destination": 0,
+             "start_time": now + 90.0, "end_time": now + 600.0},
+        ]
+        with _serving(service) as server, metrics_scope():
+            status, body = _post(server, "/ingest", {"trips": trips})
+            assert status == 200 and body["accepted"] == len(trips)
+            mirror.ingest_events([
+                (t["origin"], t["destination"], t["start_time"], t["end_time"])
+                for t in trips
+            ])
+
+            status, served = _get(server, "/predict")
+            assert status == 200
+            demand, supply = self._library_forecast(first, mirror, tiny_dataset)
+            assert np.array_equal(np.asarray(served["demand"]), demand)
+            assert np.array_equal(np.asarray(served["supply"]), supply)
+
+            host, port = server.server_address[:2]
+            with urllib.request.urlopen(
+                f"http://{host}:{port}/metrics", timeout=10.0
+            ) as response:
+                assert "serve_ingest_events_total" in response.read().decode()
+
+            status, body = _post(server, "/admin/reload", {"checkpoint": str(second)})
+            assert status == 200 and body["reloaded"] is True
+            status, reloaded = _get(server, "/predict")
+            assert status == 200
+            demand, supply = self._library_forecast(second, mirror, tiny_dataset)
+            assert np.array_equal(np.asarray(reloaded["demand"]), demand)
+            assert np.array_equal(np.asarray(reloaded["supply"]), supply)
+            assert not np.array_equal(np.asarray(reloaded["demand"]),
+                                      np.asarray(served["demand"]))
+
+
 def _raw_request(server, head: bytes) -> bytes:
     """Send raw request bytes; return everything the server answers."""
     with socket.create_connection(server.server_address[:2], timeout=10.0) as conn:
@@ -159,6 +224,45 @@ class TestContentLength:
         status_line, _, rest = reply.partition(b"\r\n")
         assert status_line.split()[1] == b"400"
         assert b"Content-Length" in rest.partition(b"\r\n\r\n")[2]
+
+
+class TestSocketTimeout:
+    @pytest.fixture
+    def server(self, tiny_dataset):
+        model = STGNNDJD.from_dataset(tiny_dataset, seed=3)
+        service = PredictionService.for_dataset(
+            model, tiny_dataset, config=ServiceConfig(request_timeout_seconds=0.3)
+        )
+        with _serving(service) as http_server:
+            yield http_server
+
+    def test_silent_client_is_dropped_and_its_handler_parks(self, server):
+        class Parking(list):
+            parked = threading.Event()
+
+            def append(self, inbox):
+                super().append(inbox)
+                self.parked.set()
+
+        server._idle = Parking()
+        seen = _handler_spy(server)
+        with socket.create_connection(server.server_address[:2]) as silent:
+            silent.settimeout(5.0)
+            assert silent.recv(1) == b""  # the server hung up
+        assert server._idle.parked.wait(timeout=5.0)
+        assert _get(server, "/healthz")[0] == 200
+        assert len(seen) == 2 and seen[1] is seen[0]  # parked, then reused
+
+    @pytest.mark.parametrize("seconds", [0.0, -1.0])
+    def test_non_positive_timeout_is_rejected(self, seconds):
+        with pytest.raises(ValueError, match="request_timeout_seconds"):
+            ServiceConfig(request_timeout_seconds=seconds)
+
+    def test_body_short_of_its_content_length_is_408(self, server):
+        reply = _raw_request(
+            server, b"POST /ingest HTTP/1.0\r\nContent-Length: 64\r\n\r\n{}"
+        )
+        assert reply.partition(b"\r\n")[0].split()[1] == b"408"
 
 
 class TestAtomicIngest:

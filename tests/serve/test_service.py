@@ -93,13 +93,6 @@ class TestForecastCache:
         service.store.ingest_event(0, 1, start_time=now, end_time=now + 60.0)
         assert service.predict().cached is True
 
-    def test_cache_disabled(self, served_model, tiny_dataset):
-        service = PredictionService.for_dataset(
-            served_model, tiny_dataset, config=ServiceConfig(cache=False)
-        )
-        assert service.predict().cached is False
-        assert service.predict().cached is False
-
 
 class TestDispatcher:
     def test_concurrent_requests_coalesce_to_one_forward(
@@ -175,26 +168,19 @@ class TestDispatcher:
     def test_requests_queued_behind_a_forward_share_the_next(
         self, served_model, tiny_dataset
     ):
-        # cache=False, so only coalescing can save a forward: N requests
-        # that queue while the first forward runs must cost exactly one
-        # more forward between them.
-        service = PredictionService.for_dataset(
-            served_model, tiny_dataset, config=ServiceConfig(cache=False),
-        )
-        forwards = 0
-        original_sample = service.store.sample
-
-        def counting_sample():
-            nonlocal forwards
-            forwards += 1
-            return original_sample()
-
-        service.store.sample = counting_sample
+        # N requests that queue while the first forward runs must share
+        # one batch between them. Counting _full_forecast calls counts
+        # batches: with the cache on, the backlog's batch is a cache hit,
+        # so forwards would not show the coalescing.
+        service = PredictionService.for_dataset(served_model, tiny_dataset)
+        batches = 0
         release = threading.Event()
         first_picked = threading.Event()
         original = service._full_forecast
 
         def blocking(model, version):
+            nonlocal batches
+            batches += 1
             if not first_picked.is_set():
                 first_picked.set()
                 release.wait(timeout=10.0)
@@ -212,7 +198,7 @@ class TestDispatcher:
             for request in [first, *backlog]:
                 assert request.done.wait(timeout=10.0)
                 assert request.error is None
-        assert forwards == 2
+        assert batches == 2
         reference = backlog[0].forecast
         for request in [first, *backlog[1:]]:
             np.testing.assert_array_equal(request.forecast.demand,

@@ -1,14 +1,19 @@
 """End-to-end request tracing and /status over the HTTP serving path."""
 
 import json
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core import STGNNDJD
+from repro.eval import metrics as paper_metrics
 from repro.obs import JsonlExporter, read_events, set_sink
 from repro.obs.quality import QualityConfig
 from repro.obs.slo import SLOConfig
@@ -70,13 +75,26 @@ def _url(server, path):
     return f"http://{host}:{port}{path}"
 
 
-def _get(server, path, traceparent=None):
-    request = urllib.request.Request(_url(server, path))
+def _call(server, path, traceparent=None, payload=None):
+    """GET ``path``, or POST ``payload`` to it as JSON."""
+    request = urllib.request.Request(
+        _url(server, path),
+        data=None if payload is None else json.dumps(payload).encode(),
+        headers={} if payload is None else {"Content-Type": "application/json"},
+    )
     if traceparent is not None:
         request.add_header(TRACEPARENT_HEADER, traceparent)
     with urllib.request.urlopen(request, timeout=10.0) as response:
         return (response.status, json.loads(response.read()),
                 response.headers.get(TRACEPARENT_HEADER))
+
+
+def _ingest_one_slot_ahead(server, slot, slot_seconds, traceparent=None):
+    """One trip starting in the slot after ``slot``: rolls the frontier."""
+    start = (slot + 1) * slot_seconds + 1.0
+    trip = {"origin": 0, "destination": 1,
+            "start_time": start, "end_time": start + 300.0}
+    return _call(server, "/ingest", traceparent, payload={"trips": [trip]})
 
 
 def _spans(path, expect="http.predict", count=1, timeout=5.0):
@@ -95,7 +113,7 @@ def _spans(path, expect="http.predict", count=1, timeout=5.0):
 
 class TestHttpTracePropagation:
     def test_client_context_parents_the_request_trace(self, server, telemetry):
-        status, _, echoed = _get(server, "/predict", traceparent=CLIENT)
+        status, _, echoed = _call(server, "/predict", traceparent=CLIENT)
         assert status == 200
         client = parse_traceparent(CLIENT)
         # the response hands back a span on the *client's* trace
@@ -121,7 +139,7 @@ class TestHttpTracePropagation:
         assert spans["serve.assemble"]["trace_id"] == batch["trace_id"]
 
     def test_malformed_traceparent_starts_fresh_root(self, server, telemetry):
-        status, _, echoed = _get(server, "/predict", traceparent="garbage")
+        status, _, echoed = _call(server, "/predict", traceparent="garbage")
         assert status == 200
         assert parse_traceparent(echoed) is not None  # fresh, well-formed
         [request] = [s["data"] for s in _spans(telemetry)
@@ -129,9 +147,9 @@ class TestHttpTracePropagation:
         assert request["parent_span_id"] is None
 
     def test_cache_hit_request_still_traces_completely(self, server, telemetry):
-        _get(server, "/predict", traceparent=CLIENT)
+        _call(server, "/predict", traceparent=CLIENT)
         fresh = "00-" + "c" * 32 + "-" + "d" * 16 + "-01"
-        status, body, _ = _get(server, "/predict", traceparent=fresh)
+        status, body, _ = _call(server, "/predict", traceparent=fresh)
         assert status == 200
         assert body["cached"] is True
         spans = _spans(telemetry, count=2)
@@ -149,7 +167,7 @@ class TestHttpTracePropagation:
         assert len([s for s in spans if s["name"] == "serve.forward"]) == 1
 
     def test_cli_reconstructs_the_request_timeline(self, server, telemetry):
-        _get(server, "/predict", traceparent=CLIENT)
+        _call(server, "/predict", traceparent=CLIENT)
         traces = group_traces(_spans(telemetry))
         client = parse_traceparent(CLIENT)
         text = render_trace(traces, client.trace_id)
@@ -157,8 +175,27 @@ class TestHttpTracePropagation:
                      "serve.forward", "http.serialize"):
             assert name in text
 
+    def test_trace_cli_runs_over_a_served_stream(self, server, telemetry, tiny_dataset):
+        _call(server, "/predict", traceparent=CLIENT)
+        slot = server.service.store.frontier
+        _ingest_one_slot_ahead(server, slot, tiny_dataset.config.slot_seconds,
+                               traceparent=CLIENT)
+        _spans(telemetry, expect="http.ingest")
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.obs.trace", str(telemetry),
+             "--trace", parse_traceparent(CLIENT).trace_id],
+            capture_output=True, text=True, timeout=60.0,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("http.predict", "serve.queue", "↳ serve.batch",
+                     "serve.assemble", "serve.forward", "http.serialize",
+                     "http.ingest"):
+            assert name in proc.stdout
+
     def test_status_endpoint_reports_slo_trace_quality(self, server):
-        status, body, _ = _get(server, "/status")
+        status, body, _ = _call(server, "/status")
         assert status == 200
         assert body["status"] in ("ok", "degraded")
         names = {obj["name"] for obj in body["slo"]["objectives"]}
@@ -166,6 +203,29 @@ class TestHttpTracePropagation:
                 "error_budget_burn", "drift_ratio"} <= names
         assert body["trace"]["enabled"] is True
         assert body["quality"]["pending"] >= 0
+
+
+class TestQualityOverHttp:
+    def test_rollover_scores_the_served_forecast_like_eval_metrics(
+        self, server, tiny_dataset
+    ):
+        _, body, _ = _call(server, "/predict")
+        slot = body["slot"]
+        predicted = [np.asarray(body[key], dtype=np.float64)[None]
+                     for key in ("demand", "supply")]
+        status, ingest, _ = _ingest_one_slot_ahead(
+            server, slot, tiny_dataset.config.slot_seconds
+        )
+        assert status == 200 and ingest["frontier"] > slot
+
+        _, status_body, _ = _call(server, "/status")
+        quality = status_body["quality"]
+        assert quality["reconciled"] >= 1
+        window = quality["windows"]["0"]
+        true_demand, true_supply = server.service.store.realized(slot)
+        pairs = (true_demand[None], predicted[0], true_supply[None], predicted[1])
+        assert abs(window["rmse"] - paper_metrics.rmse(*pairs)) <= 1e-12
+        assert abs(window["mae"] - paper_metrics.mae(*pairs)) <= 1e-12
 
 
 class TestOverloadTrace:
@@ -193,13 +253,13 @@ class TestOverloadTrace:
         try:
             first_done = threading.Event()
             first = threading.Thread(
-                target=lambda: (_get(http_server, "/predict"),
+                target=lambda: (_call(http_server, "/predict"),
                                 first_done.set()))
             first.start()
             assert picked.wait(timeout=10.0)
             service._queue.put_nowait(_Request(None))  # fill depth-1 queue
             with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(http_server, "/predict", traceparent=CLIENT)
+                _call(http_server, "/predict", traceparent=CLIENT)
             assert excinfo.value.code == 503
             release.set()
             first.join(timeout=10.0)

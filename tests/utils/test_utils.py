@@ -1,24 +1,11 @@
-"""Utilities: seeding, timing, logging."""
+"""Utilities: seeding, logging."""
 
 import logging
 
 import numpy as np
 import pytest
 
-from repro.utils import Timer, get_logger, seeded_rng, set_global_level, spawn_rngs
-
-
-class FakeClock:
-    """A deterministic injectable clock: no sleeps, no timing flakes."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+from repro.utils import get_logger, seeded_rng, set_global_level, spawn_rngs
 
 
 class TestSeeding:
@@ -42,62 +29,6 @@ class TestSeeding:
     def test_spawn_rejects_zero(self):
         with pytest.raises(ValueError):
             spawn_rngs(seeded_rng(0), 0)
-
-
-class TestTimer:
-    def test_accumulates(self):
-        clock = FakeClock()
-        timer = Timer(clock=clock)
-        for seconds in (0.5, 1.25, 0.25):
-            with timer:
-                clock.advance(seconds)
-        assert timer.count == 3
-        assert timer.total == pytest.approx(2.0)
-        assert timer.mean == pytest.approx(timer.total / 3)
-
-    def test_default_clock_is_wall_time(self):
-        # Smoke-check the default: real perf_counter time, no fake.
-        timer = Timer()
-        with timer:
-            pass
-        assert timer.count == 1
-        assert timer.total >= 0.0
-
-    def test_mean_of_unused_timer(self):
-        assert Timer().mean == 0.0
-
-    def test_nested_entry_raises(self):
-        timer = Timer()
-        with timer:
-            with pytest.raises(RuntimeError, match="reentrant"):
-                timer.__enter__()
-        # The failed nested entry must not corrupt the accumulator.
-        assert timer.count == 1
-        assert not timer.running
-
-    def test_usable_after_nested_entry_failure(self):
-        timer = Timer()
-        with pytest.raises(RuntimeError):
-            with timer:
-                with timer:
-                    pass  # pragma: no cover - never reached
-        # The inner failure aborts the with-block; outer __exit__ already
-        # ran, so the timer is back to a clean, reusable state.
-        assert not timer.running
-        with timer:
-            pass
-        assert timer.count == 2
-
-    def test_running_flag(self):
-        timer = Timer()
-        assert not timer.running
-        with timer:
-            assert timer.running
-        assert not timer.running
-
-    def test_exit_without_enter_raises(self):
-        with pytest.raises(RuntimeError, match="without entering"):
-            Timer().__exit__(None, None, None)
 
 
 class TestLogger:
