@@ -28,7 +28,7 @@ from repro import (
     generate_city,
 )
 from repro.eval import rush_window_times
-from repro.rebalance import plan_rebalancing
+from repro.rebalance import forecast_shortages, plan_rebalancing
 
 
 def main() -> None:
@@ -65,10 +65,7 @@ def main() -> None:
     # Forecast tomorrow's morning rush and rank shortage risk.
     last_day = dataset.num_days - 1
     times = rush_window_times(dataset, last_day, 7.0, 10.0)
-    net_outflow = np.zeros(dataset.num_stations)
-    for t in times:
-        demand, supply = trainer.predict(int(t))
-        net_outflow += demand - supply
+    net_outflow = forecast_shortages(trainer, dataset, times)
 
     print(f"\nPredicted net outflow (demand - supply) for day {last_day}, "
           f"07:00-10:00:")

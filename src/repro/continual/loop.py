@@ -14,8 +14,8 @@ Each :meth:`~ContinualLearner.run_cycle`:
 3. **shadow-eval** — scores the candidate *and* the live checkpoint on
    the held-back slots through two :class:`~repro.obs.quality.QualityMonitor`
    windows (the paper's Eq. 22 joint RMSE/MAE, same code path as
-   serving-time quality), and gates promotion on the candidate beating
-   the live model by at least ``improvement_band``;
+   serving-time quality), and promotes the candidate only if its
+   held-back RMSE is no higher than the live model's;
 4. **promote** — atomically writes the candidate checkpoint with a
    fresh quality baseline, pre-flights it through the schema/corruption
    checks (:func:`~repro.core.persistence.load_stgnn`), and hot-reloads
@@ -89,9 +89,9 @@ class ContinualConfig:
     ``train_days`` must leave the extracted window a usable day-aligned
     70/10/rest split *after* the sampling horizon — with the paper's
     ``d = 7`` long window that means two weeks or more.
-    ``improvement_band`` is the relative rolling-RMSE improvement the
-    candidate must show on the held-back slots before it ships
-    (``0.0`` = "at least as good", ``0.05`` = "5% better").
+    ``holdback_slots`` is the span the candidate and the live model are
+    scored on; the candidate ships when its RMSE there is finite and no
+    higher than the live model's.
     """
 
     checkpoint_path: str
@@ -99,7 +99,6 @@ class ContinualConfig:
     train_days: int = 14
     retrain_epochs: int = 2
     holdback_slots: int = 8
-    improvement_band: float = 0.0
     seed: int = 0
     training: TrainingConfig | None = None
 
@@ -113,10 +112,6 @@ class ContinualConfig:
         if self.holdback_slots < 1:
             raise ValueError(
                 f"holdback_slots must be >= 1, got {self.holdback_slots}"
-            )
-        if not 0.0 <= self.improvement_band < 1.0:
-            raise ValueError(
-                f"improvement_band must be in [0, 1), got {self.improvement_band}"
             )
         if self.training is not None and self.training.snapshot_path is not None:
             raise ValueError(
@@ -222,7 +217,7 @@ class ContinualLearner:
         promoted = bool(
             np.isfinite(cand_rmse)
             and np.isfinite(live_rmse)
-            and cand_rmse <= live_rmse * (1.0 - self.config.improvement_band)
+            and cand_rmse <= live_rmse
         )
         emit_event(
             "event", "continual.shadow_eval",
@@ -232,7 +227,6 @@ class ContinualLearner:
             live_rmse=live_rmse,
             live_mae=float(live_rolling["mae"]),
             samples=int(cand_rolling["samples"]),
-            improvement_band=self.config.improvement_band,
             promoted=promoted,
             ts=time.time(),
         )

@@ -16,7 +16,6 @@ from repro.core.persistence import (
     CheckpointError,
     CheckpointSchemaError,
     TrainingSnapshot,
-    checkpoint_schema_version,
     load_config,
     load_state,
     load_stgnn,
@@ -24,12 +23,6 @@ from repro.core.persistence import (
     save_checkpoint,
     save_training_snapshot,
     training_fingerprint,
-)
-from repro.core.tuning import (
-    CandidateResult,
-    SearchResult,
-    expand_grid,
-    select_config,
 )
 
 __all__ = [
@@ -53,13 +46,8 @@ __all__ = [
     "CheckpointError",
     "CheckpointSchemaError",
     "CheckpointCorruptError",
-    "checkpoint_schema_version",
     "TrainingSnapshot",
     "save_training_snapshot",
     "load_training_snapshot",
     "training_fingerprint",
-    "select_config",
-    "expand_grid",
-    "SearchResult",
-    "CandidateResult",
 ]

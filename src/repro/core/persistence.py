@@ -151,14 +151,6 @@ def _check_schema(bundle, path: str | Path) -> None:
         )
 
 
-def checkpoint_schema_version(path: str | Path) -> int | None:
-    """The schema version stored in a checkpoint (None for legacy files)."""
-    with _open_checkpoint(path) as bundle:
-        if _SCHEMA_KEY not in bundle.files:
-            return None
-        return int(bundle[_SCHEMA_KEY])
-
-
 def save_checkpoint(
     model: Module, path: str | Path, quality_baseline=None
 ) -> None:

@@ -1,4 +1,4 @@
-"""Evaluation: paper metrics, sweep runner, and case-study tooling."""
+"""Evaluation: paper metrics, result tables, and case-study tooling."""
 
 from repro.eval.metrics import (
     active_station_mask,
@@ -14,7 +14,6 @@ from repro.eval.evaluation import (
     evaluate_model,
 )
 from repro.eval.reporting import comparison_table, series_table
-from repro.eval.multiseed import SeedSweepResult, evaluate_over_seeds
 from repro.eval.analysis import (
     StationSummary,
     busiest_hours,
@@ -49,8 +48,6 @@ __all__ = [
     "rush_window_times",
     "comparison_table",
     "series_table",
-    "SeedSweepResult",
-    "evaluate_over_seeds",
     "StationSummary",
     "station_summaries",
     "daily_profile",

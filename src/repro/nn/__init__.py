@@ -1,49 +1,36 @@
 """Neural network building blocks on top of :mod:`repro.tensor`.
 
-Provides the Module/Parameter system, common layers (Linear, Conv1x1,
-Dropout, LayerNorm), activations, recurrent cells/encoders, attention
-primitives, weight initializers and loss functions — everything the
-STGNN-DJD model and the deep baselines are assembled from.
+Provides the Module/Parameter system, the layers (Linear, Conv1x1,
+Dropout), the ReLU/ELU activations, RNN/LSTM cells and encoders,
+attention primitives, weight initializers and loss functions —
+everything the STGNN-DJD model and the deep baselines are assembled
+from.
 """
 
-from repro.nn.module import Module, ModuleList, Parameter, Sequential
-from repro.nn.layers import Conv1x1, Dropout, LayerNorm, Linear
-from repro.nn.activations import ELU, ReLU, Sigmoid, Tanh
-from repro.nn.recurrent import (
-    GRUCell,
-    GRUEncoder,
-    LSTMCell,
-    LSTMEncoder,
-    RNNCell,
-    RNNEncoder,
-)
+from repro.nn.module import Module, ModuleList, Parameter
+from repro.nn.layers import Conv1x1, Dropout, Linear
+from repro.nn.activations import ELU, ReLU
+from repro.nn.recurrent import LSTMCell, LSTMEncoder, RNNCell, RNNEncoder
 from repro.nn.attention import PairwiseAdditiveAttention, ScaledDotProductAttention
-from repro.nn.loss import joint_demand_supply_loss, mae_loss, mse_loss
+from repro.nn.loss import joint_demand_supply_loss, mse_loss
 from repro.nn import init
 
 __all__ = [
     "Module",
     "ModuleList",
     "Parameter",
-    "Sequential",
     "Linear",
     "Conv1x1",
     "Dropout",
-    "LayerNorm",
     "ReLU",
     "ELU",
-    "Sigmoid",
-    "Tanh",
     "RNNCell",
     "LSTMCell",
-    "GRUCell",
     "RNNEncoder",
     "LSTMEncoder",
-    "GRUEncoder",
     "PairwiseAdditiveAttention",
     "ScaledDotProductAttention",
     "mse_loss",
-    "mae_loss",
     "joint_demand_supply_loss",
     "init",
 ]

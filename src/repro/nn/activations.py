@@ -22,13 +22,3 @@ class ELU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.elu(self.alpha)
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()

@@ -23,13 +23,6 @@ def xavier_uniform(
     return rng.uniform(-bound, bound, size=shape)
 
 
-def he_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming uniform init, suited to ReLU-family activations."""
-    fan_in, _ = _fans(shape)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape)
 

@@ -118,24 +118,3 @@ class Dropout(Module):
 
     def __repr__(self) -> str:
         return f"Dropout(rate={self.rate})"
-
-
-class LayerNorm(Module):
-    """Layer normalization over the last axis, with learned scale/shift."""
-
-    def __init__(self, features: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.features = features
-        self.eps = eps
-        self.gamma = Parameter(np.ones(features), name="gamma")
-        self.beta = Parameter(np.zeros(features), name="beta")
-
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / ops.sqrt(var + self.eps)
-        return normed * self.gamma + self.beta
-
-    def __repr__(self) -> str:
-        return f"LayerNorm({self.features})"

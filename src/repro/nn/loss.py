@@ -12,12 +12,6 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     return (diff * diff).mean()
 
 
-def mae_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error over all elements."""
-    _check_shapes(prediction, target)
-    return (prediction - target).abs().mean()
-
-
 def joint_demand_supply_loss(
     demand_pred: Tensor,
     demand_true: Tensor,

@@ -177,24 +177,3 @@ class ModuleList(Module):
 
     def __getitem__(self, index: int) -> Module:
         return self._items[index]
-
-
-class Sequential(Module):
-    """Chain modules, feeding each output into the next module."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self._items = list(modules)
-        for i, module in enumerate(self._items):
-            self.register_module(str(i), module)
-
-    def forward(self, x):
-        for module in self._items:
-            x = module(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._items[index]

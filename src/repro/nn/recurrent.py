@@ -1,7 +1,6 @@
-"""Recurrent cells and sequence encoders (RNN, LSTM, GRU).
+"""Recurrent cells and sequence encoders (RNN, LSTM).
 
-These power the RNN and LSTM baselines from the paper's Table I, and the
-GRU used inside the ASTGCN baseline's temporal branches. Cells process
+These power the RNN and LSTM baselines from the paper's Table I. Cells process
 one time step; the ``*Encoder`` wrappers unroll a whole ``(T, B, F)``
 sequence and return the final hidden state.
 """
@@ -57,27 +56,6 @@ class LSTMCell(Module):
         return h_next, c_next
 
 
-class GRUCell(Module):
-    """GRU cell (update/reset gates + candidate state)."""
-
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator) -> None:
-        super().__init__()
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.weight_x = Parameter(init.xavier_uniform((input_size, 3 * hidden_size), rng))
-        self.weight_h = Parameter(init.xavier_uniform((hidden_size, 3 * hidden_size), rng))
-        self.bias = Parameter(init.zeros((3 * hidden_size,)))
-
-    def forward(self, x: Tensor, h: Tensor) -> Tensor:
-        hs = self.hidden_size
-        x_proj = x @ self.weight_x + self.bias
-        h_proj = h @ self.weight_h
-        z = (x_proj[..., 0:hs] + h_proj[..., 0:hs]).sigmoid()
-        r = (x_proj[..., hs : 2 * hs] + h_proj[..., hs : 2 * hs]).sigmoid()
-        candidate = (x_proj[..., 2 * hs : 3 * hs] + r * h_proj[..., 2 * hs : 3 * hs]).tanh()
-        return (1.0 - z) * h + z * candidate
-
-
 class RNNEncoder(Module):
     """Unroll an :class:`RNNCell` over a ``(T, B, F)`` sequence."""
 
@@ -108,20 +86,4 @@ class LSTMEncoder(Module):
         c = Tensor(np.zeros((batch, self.hidden_size)), dtype=sequence.data.dtype)
         for t in range(steps):
             h, c = self.cell(sequence[t], (h, c))
-        return h
-
-
-class GRUEncoder(Module):
-    """Unroll a :class:`GRUCell` over a ``(T, B, F)`` sequence."""
-
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator) -> None:
-        super().__init__()
-        self.cell = GRUCell(input_size, hidden_size, rng)
-        self.hidden_size = hidden_size
-
-    def forward(self, sequence: Tensor) -> Tensor:
-        steps, batch = sequence.shape[0], sequence.shape[1]
-        h = Tensor(np.zeros((batch, self.hidden_size)), dtype=sequence.data.dtype)
-        for t in range(steps):
-            h = self.cell(sequence[t], h)
         return h

@@ -77,41 +77,33 @@ class JsonlExporter:
     Lines are flushed per event — a crashed run keeps everything emitted
     up to the failure, which is exactly when the stream matters most.
 
-    ``max_bytes`` / ``max_lines`` bound the stream for long-lived
-    processes (a serving box cannot append forever): when the current
-    file would exceed a limit it is renamed to ``<path>.1`` (replacing,
-    and thereby destroying, any previous ``.1``) and a fresh file is
-    started, so at most two generations exist on disk. Events destroyed
-    with an old ``.1`` are counted in the ``obs.events_dropped``
-    counter — truncation is visible, never silent. With both limits
-    ``None`` (the default) behaviour is the original unbounded append.
+    ``max_bytes`` bounds the stream for long-lived processes (a serving
+    box cannot append forever): when the current file would exceed it,
+    the file is renamed to ``<path>.1`` (replacing, and thereby
+    destroying, any previous ``.1``) and a fresh file is started, so at
+    most two generations exist on disk. Events destroyed with an old
+    ``.1`` are counted in the ``obs.events_dropped`` counter —
+    truncation is visible, never silent. With ``max_bytes=None`` (the
+    default) the stream is an unbounded append.
 
     Thread-safe: serving handler threads, the dispatcher, and rollover
     listeners all emit concurrently.
     """
 
-    def __init__(self, path: str | Path, max_bytes: int | None = None,
-                 max_lines: int | None = None) -> None:
+    def __init__(self, path: str | Path, max_bytes: int | None = None) -> None:
         if max_bytes is not None and max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        if max_lines is not None and max_lines < 1:
-            raise ValueError(f"max_lines must be >= 1, got {max_lines}")
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.max_bytes = max_bytes
-        self.max_lines = max_lines
         self.rotations = 0
         self._lock = threading.Lock()
         self._dropped_counter = default_registry().counter("obs.events_dropped")
         self._bytes = 0
-        self._lines = 0
-        if self.path.exists() and (max_bytes is not None or max_lines is not None):
+        if self.path.exists() and max_bytes is not None:
             # Appending to an existing stream: its current size counts
             # against the bound.
             self._bytes = self.path.stat().st_size
-            if max_lines is not None:
-                with self.path.open("rb") as fh:
-                    self._lines = sum(1 for _ in fh)
         self._file: IO[str] | None = self.path.open("a", encoding="utf-8")
 
     @property
@@ -119,11 +111,11 @@ class JsonlExporter:
         return self.path.with_name(self.path.name + ".1")
 
     def _would_exceed(self, nbytes: int) -> bool:
-        if self.max_bytes is not None and self._bytes + nbytes > self.max_bytes:
-            return self._bytes > 0  # never rotate an empty file
-        if self.max_lines is not None and self._lines + 1 > self.max_lines:
-            return True
-        return False
+        return (
+            self.max_bytes is not None
+            and self._bytes + nbytes > self.max_bytes
+            and self._bytes > 0  # never rotate an empty file
+        )
 
     def _rotate(self) -> None:
         # Called under self._lock. The outgoing .1 generation (if any)
@@ -138,7 +130,6 @@ class JsonlExporter:
         self.path.replace(rotated)
         self._file = self.path.open("a", encoding="utf-8")
         self._bytes = 0
-        self._lines = 0
         self.rotations += 1
 
     def emit(self, kind: str, name: str, **data) -> dict:
@@ -153,7 +144,6 @@ class JsonlExporter:
             self._file.write(line)
             self._file.flush()
             self._bytes += len(line)
-            self._lines += 1
         return event
 
     def close(self) -> None:

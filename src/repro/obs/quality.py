@@ -32,6 +32,7 @@ Wiring (see :class:`repro.serve.service.PredictionService`):
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import time
@@ -48,7 +49,7 @@ from repro.obs.registry import default_registry
 
 def _paper_metrics():
     # Lazy: repro.eval.__init__ pulls in the whole evaluation stack
-    # (reporting, multiseed, ...) and importing it at module load would
+    # (reporting, case studies, ...) and importing it at module load would
     # cycle back through repro.obs during package init.
     from repro.eval import metrics
 
@@ -82,6 +83,10 @@ class QualityBaseline:
         return cls.from_dict(json.loads(payload))
 
 
+#: Rolling-RMSE / baseline-RMSE ratio above which ``quality.drift`` fires.
+DRIFT_THRESHOLD = 1.5
+
+
 @dataclass(frozen=True, slots=True)
 class QualityConfig:
     """Knobs for the quality monitor.
@@ -89,13 +94,12 @@ class QualityConfig:
     ``window`` — reconciled slots retained per horizon for the rolling
     metrics. ``min_samples`` — reconciliations required before the
     drift monitor may fire (a 3-slot window ratio is noise).
-    ``drift_threshold`` — rolling-RMSE / baseline-RMSE ratio above
-    which ``quality.drift`` fires.
+    ``baseline`` — the training-time error level; ``quality.drift``
+    fires when rolling RMSE / baseline RMSE exceeds ``DRIFT_THRESHOLD``.
     """
 
     window: int = 256
     min_samples: int = 16
-    drift_threshold: float = 1.5
     baseline: QualityBaseline | None = None
 
     def __post_init__(self) -> None:
@@ -104,10 +108,6 @@ class QualityConfig:
         if self.min_samples < 1:
             raise ValueError(
                 f"min_samples must be >= 1, got {self.min_samples}"
-            )
-        if self.drift_threshold <= 0:
-            raise ValueError(
-                f"drift_threshold must be > 0, got {self.drift_threshold}"
             )
 
 
@@ -269,6 +269,12 @@ class QualityMonitor:
     # ------------------------------------------------------------------
     # Drift
     # ------------------------------------------------------------------
+    @property
+    def drifting(self) -> bool:
+        """Whether the drift ratio is past ``DRIFT_THRESHOLD`` (set when
+        ``quality.drift`` fires, cleared when the ratio recovers)."""
+        return self._drifting
+
     def drift_ratio(self) -> float | None:
         """rolling RMSE (horizon 0) / baseline RMSE, or None."""
         baseline = self.config.baseline
@@ -285,7 +291,7 @@ class QualityMonitor:
         ratio = self.drift_ratio()
         if ratio is None:
             return
-        if ratio > self.config.drift_threshold:
+        if ratio > DRIFT_THRESHOLD:
             if not self._drifting:
                 self._drifting = True
                 self._drift_events += 1
@@ -293,7 +299,7 @@ class QualityMonitor:
                 emit_event(
                     "event", "quality.drift",
                     ratio=float(ratio),
-                    threshold=self.config.drift_threshold,
+                    threshold=DRIFT_THRESHOLD,
                     rolling_rmse=float(ratio * self.config.baseline.rmse),
                     baseline_rmse=self.config.baseline.rmse,
                     ts=time.time(),
@@ -314,12 +320,7 @@ class QualityMonitor:
             self._windows.clear()
             self._drifting = False
             if baseline is not None:
-                self.config = QualityConfig(
-                    window=self.config.window,
-                    min_samples=self.config.min_samples,
-                    drift_threshold=self.config.drift_threshold,
-                    baseline=baseline,
-                )
+                self.config = dataclasses.replace(self.config, baseline=baseline)
 
     # ------------------------------------------------------------------
     # Introspection

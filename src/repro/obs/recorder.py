@@ -25,7 +25,7 @@ from pathlib import Path
 from repro.obs.events import JsonlExporter, set_sink
 from repro.obs.registry import default_registry
 from repro.obs.report import EpochRecord, RunReport
-from repro.obs.trace import TraceConfig, enable_tracing
+from repro.obs.trace import enable_tracing
 
 _RUN_SEQ = 0
 
@@ -44,24 +44,14 @@ class ObservabilityConfig:
 
     out_dir: str = "runs"
     run_id: str | None = None
-    #: Write the JSONL event stream (the report is always written).
-    events: bool = True
-    #: Rotate the event stream beyond this size (None = unbounded).
-    events_max_bytes: int | None = None
-    #: Also record trace spans for the run: the recorder enables
-    #: tracing for the fit and restores the previous state in
-    #: :meth:`RunRecorder.finish`. Requires
-    #: ``events`` — spans need a sink to land in.
+    #: Also record trace spans for the run, every root trace of it,
+    #: into the event stream: the recorder enables tracing for the fit
+    #: and restores the previous state in :meth:`RunRecorder.finish`.
     trace: bool = False
-    #: Fraction of root traces recorded when ``trace`` is on.
-    trace_sample: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.out_dir:
             raise ValueError("out_dir must be a non-empty path")
-        if self.trace and not self.events:
-            raise ValueError("trace=True requires events=True "
-                             "(spans export to the event stream)")
 
 
 class RunRecorder:
@@ -87,20 +77,13 @@ class RunRecorder:
         self._finished = False
         self._prev_enabled = self.registry.enabled
         self.registry.enabled = True
-        self._exporter: JsonlExporter | None = None
-        self._prev_sink = None
+        self._exporter = JsonlExporter(self.events_path)
+        self._prev_sink = set_sink(self._exporter)
+        self._exporter.emit("run_start", self.run_id, config=self.report.config)
         self._prev_trace = None
         self._trace_enabled = False
-        if config.events:
-            self._exporter = JsonlExporter(
-                self.events_path, max_bytes=config.events_max_bytes
-            )
-            self._prev_sink = set_sink(self._exporter)
-            self._exporter.emit("run_start", self.run_id, config=self.report.config)
         if config.trace:
-            self._prev_trace = enable_tracing(
-                TraceConfig(sample_rate=config.trace_sample)
-            )
+            self._prev_trace = enable_tracing(True)
             self._trace_enabled = True
 
     def record_epoch(
@@ -124,8 +107,7 @@ class RunRecorder:
             seconds=None if seconds is None else float(seconds),
         )
         self.report.epochs.append(record)
-        if self._exporter is not None:
-            self._exporter.emit("epoch", self.run_id, **dataclasses.asdict(record))
+        self._exporter.emit("epoch", self.run_id, **dataclasses.asdict(record))
         return record
 
     def attach(self, key: str, payload: dict) -> None:
@@ -143,14 +125,13 @@ class RunRecorder:
             )
             self._trace_enabled = False
         self.report.metrics = self.registry.snapshot()
-        if self._exporter is not None:
-            self._exporter.emit(
-                "run_end", self.run_id,
-                epochs=len(self.report.epochs),
-                report=self.report_path.name,
-            )
-            set_sink(self._prev_sink)
-            self._exporter.close()
+        self._exporter.emit(
+            "run_end", self.run_id,
+            epochs=len(self.report.epochs),
+            report=self.report_path.name,
+        )
+        set_sink(self._prev_sink)
+        self._exporter.close()
         self.registry.enabled = self._prev_enabled
         self.report.save(self.report_path)
         return self.report

@@ -1,10 +1,13 @@
 """Declarative service-level objectives evaluated from live metrics.
 
-An :class:`SLOConfig` names the targets (p99 latency, staleness ratio,
-error-budget burn, drift ratio); :func:`evaluate_slos` reads the
-current metric registry (and optionally a
-:class:`~repro.obs.quality.QualityMonitor`) and returns a structured
-health verdict — the payload behind serving's ``/status`` endpoint.
+:func:`evaluate_slos` reads the current metric registry (and
+optionally a :class:`~repro.obs.quality.QualityMonitor`) and returns a
+structured health verdict — the payload behind serving's ``/status``
+endpoint. The objectives: the p99 request latency against
+:class:`SLOConfig`'s ceiling, the stale-served ratio against
+``MAX_STALENESS_RATIO``, the error-budget burn (rejected requests)
+against ``ERROR_BUDGET`` and, when a quality monitor is given, drift:
+the monitor's own verdict.
 
 Quantiles come from the registry's fixed-bucket histograms via
 :func:`histogram_quantile`, the standard cumulative-bucket walk
@@ -25,40 +28,26 @@ from dataclasses import dataclass
 from repro.obs.registry import Histogram, Registry, default_registry
 
 
+#: Ceiling for stale-served / total requests.
+MAX_STALENESS_RATIO = 0.01
+#: Ceiling for rejected (503) / (served + rejected) requests.
+ERROR_BUDGET = 0.001
+
+
 @dataclass(frozen=True, slots=True)
 class SLOConfig:
     """Service-level objectives for the serving path.
 
     ``p99_latency_seconds`` — ceiling for the request-latency p99.
-    ``max_staleness_ratio`` — stale-served / total requests ceiling.
-    ``error_budget`` — rejected (503) / total requests ceiling.
-    ``max_drift_ratio`` — quality drift-ratio ceiling (None: only
-    unhealthy once the quality monitor has actually flagged drift).
     """
 
     p99_latency_seconds: float = 0.25
-    max_staleness_ratio: float = 0.01
-    error_budget: float = 0.001
-    max_drift_ratio: float | None = None
 
     def __post_init__(self) -> None:
         if self.p99_latency_seconds <= 0:
             raise ValueError(
                 f"p99_latency_seconds must be > 0, got "
                 f"{self.p99_latency_seconds}"
-            )
-        if not 0.0 <= self.max_staleness_ratio <= 1.0:
-            raise ValueError(
-                f"max_staleness_ratio must be in [0, 1], got "
-                f"{self.max_staleness_ratio}"
-            )
-        if not 0.0 <= self.error_budget <= 1.0:
-            raise ValueError(
-                f"error_budget must be in [0, 1], got {self.error_budget}"
-            )
-        if self.max_drift_ratio is not None and self.max_drift_ratio <= 0:
-            raise ValueError(
-                f"max_drift_ratio must be > 0, got {self.max_drift_ratio}"
             )
 
 
@@ -129,30 +118,23 @@ def evaluate_slos(config: SLOConfig | None = None,
     stale = counter_value(f"{prefix}.stale_served")
     staleness = (stale / requests) if requests else None
     objectives.append(
-        _objective("staleness_ratio", staleness, config.max_staleness_ratio)
+        _objective("staleness_ratio", staleness, MAX_STALENESS_RATIO)
     )
 
     rejected = counter_value(f"{prefix}.rejected")
     burn = (rejected / (requests + rejected)) if (requests + rejected) else None
     objectives.append(
-        _objective("error_budget_burn", burn, config.error_budget)
+        _objective("error_budget_burn", burn, ERROR_BUDGET)
     )
 
     if quality is not None:
-        ratio = quality.drift_ratio()
-        if config.max_drift_ratio is not None:
-            objectives.append(
-                _objective("drift_ratio", ratio, config.max_drift_ratio)
-            )
-        else:
-            drifting = getattr(quality, "_drifting", False)
-            objectives.append({
-                "name": "drift_ratio",
-                "value": ratio,
-                "target": None,
-                "comparison": "monitor",
-                "healthy": not drifting,
-            })
+        objectives.append({
+            "name": "drift_ratio",
+            "value": quality.drift_ratio(),
+            "target": None,
+            "comparison": "monitor",
+            "healthy": not quality.drifting,
+        })
 
     return {
         "healthy": all(obj["healthy"] for obj in objectives),

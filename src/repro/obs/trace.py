@@ -390,10 +390,6 @@ def group_traces(spans: list[dict]) -> dict[str, list[dict]]:
     return traces
 
 
-def _span_index(group: list[dict]) -> dict[str, dict]:
-    return {e["data"]["span_id"]: e for e in group}
-
-
 def _children(group: list[dict]) -> dict[str | None, list[dict]]:
     ids = {e["data"]["span_id"] for e in group}
     children: dict[str | None, list[dict]] = {}
@@ -405,17 +401,19 @@ def _children(group: list[dict]) -> dict[str | None, list[dict]]:
     return children
 
 
-def _linked_into(traces: dict[str, list[dict]], trace_id: str) -> dict[str, list[dict]]:
-    """span_id (in ``trace_id``) → spans of *other* traces linking to it."""
-    linked: dict[str, list[dict]] = {}
+def link_index(traces: dict[str, list[dict]]) -> dict[str, dict[str, list[dict]]]:
+    """trace_id → span_id → spans of *other* traces linking to that span.
+
+    One pass over every span of the stream; :func:`render_trace` takes
+    it so that rendering many traces does not rescan the stream each time.
+    """
+    index: dict[str, dict[str, list[dict]]] = {}
     for other_id, group in traces.items():
-        if other_id == trace_id:
-            continue
         for event in group:
             for link in event["data"].get("links", ()):
-                if link[0] == trace_id:
-                    linked.setdefault(link[1], []).append(event)
-    return linked
+                if link[0] != other_id:
+                    index.setdefault(link[0], {}).setdefault(link[1], []).append(event)
+    return index
 
 
 def _fmt_attrs(attrs: dict) -> str:
@@ -432,56 +430,41 @@ def _fmt_attrs(attrs: dict) -> str:
     return "  " + " ".join(parts) if parts else ""
 
 
-def render_trace(traces: dict[str, list[dict]], trace_id: str) -> str:
-    """One trace as an indented timeline, linked spans inlined."""
+def render_trace(traces: dict[str, list[dict]], trace_id: str,
+                 links: dict[str, dict[str, list[dict]]] | None = None) -> str:
+    """One trace as an indented timeline, linked spans inlined.
+
+    ``links`` is :func:`link_index` of ``traces``, built here when not
+    given.
+    """
+    if links is None:
+        links = link_index(traces)
     group = traces[trace_id]
     t0 = min(e["data"]["start_ts"] for e in group)
-    children = _children(group)
-    linked = _linked_into(traces, trace_id)
     lines = [f"trace {trace_id}  ({len(group)} spans)"]
 
-    def offset_ms(event: dict) -> float:
-        return (event["data"]["start_ts"] - t0) * 1e3
-
-    def render(event: dict, depth: int, marker: str = "") -> None:
+    def render(event: dict, depth: int, children: dict, linked: dict,
+               marker: str = "") -> None:
+        """``event`` and its subtree. A span from another trace that links
+        one of ours (the batch serving this request) renders in place
+        under a ``↳`` marker, with its own subtree but not its links."""
         data = event["data"]
-        label = marker + event["name"]
         lines.append(
-            f"  {'  ' * depth}{label:<{max(2, 34 - 2 * depth)}} "
-            f"+{offset_ms(event):9.3f}ms  {data['duration_seconds'] * 1e3:9.3f}ms"
+            f"  {'  ' * depth}{marker}"
+            f"{event['name']:<{max(2, 34 - 2 * depth - len(marker))}} "
+            f"+{(data['start_ts'] - t0) * 1e3:9.3f}ms  "
+            f"{data['duration_seconds'] * 1e3:9.3f}ms"
             f"{_fmt_attrs(data.get('attrs', {}))}"
         )
         for child in children.get(data["span_id"], ()):
-            render(child, depth + 1)
+            render(child, depth + 1, children, linked)
         for link_event in linked.get(data["span_id"], ()):
-            render_linked(link_event, depth + 1)
+            other = traces[link_event["data"]["trace_id"]]
+            render(link_event, depth + 1, _children(other), {}, marker="↳ ")
 
-    def render_linked(event: dict, depth: int) -> None:
-        """A span from another trace that links one of ours — rendered
-        in place with its own subtree (the batch serving this request)."""
-        other = traces[event["data"]["trace_id"]]
-        other_children = _children(other)
-        data = event["data"]
-        lines.append(
-            f"  {'  ' * depth}↳ {event['name']:<{max(2, 32 - 2 * depth)}} "
-            f"+{offset_ms(event):9.3f}ms  {data['duration_seconds'] * 1e3:9.3f}ms"
-            f"{_fmt_attrs(data.get('attrs', {}))}"
-        )
-        for child in other_children.get(data["span_id"], ()):
-            render_in_other(child, depth + 1, other_children)
-
-    def render_in_other(event: dict, depth: int, other_children) -> None:
-        data = event["data"]
-        lines.append(
-            f"  {'  ' * depth}{event['name']:<{max(2, 34 - 2 * depth)}} "
-            f"+{offset_ms(event):9.3f}ms  {data['duration_seconds'] * 1e3:9.3f}ms"
-            f"{_fmt_attrs(data.get('attrs', {}))}"
-        )
-        for child in other_children.get(data["span_id"], ()):
-            render_in_other(child, depth + 1, other_children)
-
+    children = _children(group)
     for root in children.get(None, ()):
-        render(root, 0)
+        render(root, 0, children, links.get(trace_id, {}))
     return "\n".join(lines)
 
 
@@ -530,24 +513,16 @@ def main(argv: list[str] | None = None) -> int:
         print(render_trace(traces, args.trace))
         return 0
 
-    # Default: render request traces (http.* roots) if any, else all
-    # traces that are not pure link targets of another rendered trace.
+    # Default: render request traces (http.* roots) if any, else every
+    # trace. A batch trace linked from a request renders inside it.
     request_ids = [
         tid for tid, group in traces.items()
         if any(e["data"].get("parent_span_id") is None
                and e["name"].startswith("http.") for e in group)
     ]
-    shown = request_ids or list(traces)
-    linked_away: set[str] = set()
-    if request_ids:
-        for tid in request_ids:
-            for sid in _linked_into(traces, tid):
-                for event in _linked_into(traces, tid)[sid]:
-                    linked_away.add(event["data"]["trace_id"])
-    for tid in shown:
-        if tid in linked_away and tid not in request_ids:
-            continue
-        print(render_trace(traces, tid))
+    links = link_index(traces)
+    for tid in request_ids or traces:
+        print(render_trace(traces, tid, links))
         print()
     return 0
 

@@ -1,15 +1,9 @@
-"""Optimizers and training utilities (SGD, Adam, grad clipping, LR decay)."""
+"""The paper's training optimizer (Adam) and global-norm gradient clipping."""
 
-from repro.optim.optimizer import Optimizer, clip_grad_norm
-from repro.optim.sgd import SGD
 from repro.optim.adam import Adam
-from repro.optim.scheduler import StepLR, ReduceOnPlateau
+from repro.optim.clip import clip_grad_norm
 
 __all__ = [
-    "Optimizer",
-    "SGD",
     "Adam",
-    "StepLR",
-    "ReduceOnPlateau",
     "clip_grad_norm",
 ]

@@ -1,11 +1,14 @@
 """Adam optimizer [Kingma & Ba, 2014] — the paper's training optimizer.
 
-The update is fused into in-place numpy ops over two preallocated
-scratch views: no ``m_hat``/``v_hat``/``sqrt`` temporaries are
-materialised per parameter per step, and ``weight_decay`` folds into the
-same scratch instead of allocating ``grad + wd * param``. The math is
-unchanged (identical up to float rounding of the reassociated
-``lr / bias`` factors):
+Only the learning rate is settable (the paper tunes it, Sec. VII-C);
+the moment decays and the denominator guard are Kingma & Ba's
+defaults, the module constants ``BETA1``, ``BETA2`` and ``EPS``, and
+there is no weight decay.
+
+The update is fused into in-place numpy ops over one preallocated
+scratch view: no ``m_hat``/``v_hat``/``sqrt`` temporaries are
+materialised per parameter per step. The math is unchanged (identical
+up to float rounding of the reassociated ``lr / bias`` factors):
 
     m_hat = m / (1 - beta1^t);  v_hat = v / (1 - beta2^t)
     param -= lr * m_hat / (sqrt(v_hat) + eps)
@@ -16,83 +19,70 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Parameter
-from repro.optim.optimizer import Optimizer
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
-class Adam(Optimizer):
+class Adam:
     """Adam with bias-corrected first/second moment estimates."""
 
-    def __init__(
-        self,
-        parameters: list[Parameter],
-        lr: float = 0.01,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        beta1, beta2 = betas
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError(f"betas must be in [0, 1), got {betas}")
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
+    def __init__(self, parameters: list[Parameter], lr: float = 0.01) -> None:
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        self.parameters = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received no parameters")
+        self.lr = lr
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
-        # Flat scratch pools (two views per step: a general temporary and
-        # the weight-decay-adjusted gradient), keyed by dtype so a
-        # float32-cast model gets matching buffers. Sized for the largest
-        # parameter once; per-step updates then allocate nothing.
+        # Flat scratch pool keyed by dtype, so a float32-cast model gets
+        # a matching buffer. Sized for the largest parameter once;
+        # per-step updates then allocate nothing.
         self._max_size = max(p.data.size for p in self.parameters)
         self._scratch: dict[np.dtype, np.ndarray] = {}
 
-    def _scratch_views(self, param: Parameter) -> tuple[np.ndarray, np.ndarray]:
-        """Two scratch views shaped like ``param`` (contents undefined)."""
+    def zero_grad(self) -> None:
+        for param in self.parameters:
+            param.zero_grad()
+
+    def _scratch_view(self, param: Parameter) -> np.ndarray:
+        """A scratch view shaped like ``param`` (contents undefined)."""
         dtype = param.data.dtype
         flat = self._scratch.get(dtype)
-        if flat is None or flat.size < 2 * self._max_size:
-            flat = np.empty(2 * self._max_size, dtype=dtype)
+        if flat is None:
+            flat = np.empty(self._max_size, dtype=dtype)
             self._scratch[dtype] = flat
-        size, shape = param.data.size, param.data.shape
-        return (
-            flat[:size].reshape(shape),
-            flat[self._max_size : self._max_size + size].reshape(shape),
-        )
+        return flat[: param.data.size].reshape(param.data.shape)
 
     def step(self) -> None:
         self._step_count += 1
-        bias1 = 1.0 - self.beta1 ** self._step_count
-        bias2 = 1.0 - self.beta2 ** self._step_count
+        bias1 = 1.0 - BETA1 ** self._step_count
+        bias2 = 1.0 - BETA2 ** self._step_count
         sqrt_bias2 = np.sqrt(bias2)
         step_scale = self.lr / bias1
-        one_minus_beta1 = 1.0 - self.beta1
-        one_minus_beta2 = 1.0 - self.beta2
+        one_minus_beta1 = 1.0 - BETA1
+        one_minus_beta2 = 1.0 - BETA2
         for param, m, v in zip(self.parameters, self._m, self._v):
             grad = param.grad
             if grad is None:
                 continue
-            scratch, decayed = self._scratch_views(param)
-            if self.weight_decay:
-                # grad + wd * param, materialised once in scratch.
-                np.multiply(param.data, self.weight_decay, out=decayed)
-                decayed += grad
-                grad = decayed
+            scratch = self._scratch_view(param)
             # First moment: m = beta1 * m + (1 - beta1) * grad.
-            m *= self.beta1
+            m *= BETA1
             np.multiply(grad, one_minus_beta1, out=scratch)
             m += scratch
             # Second moment: v = beta2 * v + (1 - beta2) * grad^2.
-            v *= self.beta2
+            v *= BETA2
             np.multiply(grad, grad, out=scratch)
             scratch *= one_minus_beta2
             v += scratch
             # param -= (lr / bias1) * m / (sqrt(v) / sqrt(bias2) + eps).
             np.sqrt(v, out=scratch)
             scratch /= sqrt_bias2
-            scratch += self.eps
+            scratch += EPS
             np.divide(m, scratch, out=scratch)
             scratch *= step_scale
             param.data -= scratch

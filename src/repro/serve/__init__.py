@@ -30,7 +30,7 @@ Quickstart (in-process)::
         forecast = service.predict([3, 7])   # bikes, next slot
 """
 
-from repro.serve.state import FlowStateConfig, FlowStateStore, LateEventError
+from repro.serve.state import FlowStateConfig, FlowStateStore
 from repro.serve.service import (
     Forecast,
     PredictionService,
@@ -44,7 +44,6 @@ from repro.serve.http import ServingHTTPServer, make_server
 __all__ = [
     "FlowStateConfig",
     "FlowStateStore",
-    "LateEventError",
     "Forecast",
     "PredictionService",
     "ServiceConfig",

@@ -14,9 +14,8 @@ and none pays for a thread start once the server is warm.
   response reports accepted/dropped counts and the current frontier
   slot. A malformed trip anywhere in the body (missing field, bad
   station id, start before slot 0) is a ``400`` and no trip of the
-  body is applied. Under ``late_policy="error"`` a trip behind the
-  retained horizon is a ``400`` too, but the trips before it stay
-  applied.
+  body is applied. A trip behind the retained horizon is dropped and
+  counted in ``dropped_late``.
 * ``GET|POST /predict`` — optional ``?stations=0,3,7`` query (GET) or
   ``{"stations": [...]}`` body (POST); answers with denormalised demand
   and supply for the frontier slot. ``503`` with a ``Retry-After``

@@ -19,7 +19,10 @@ forecaster. Three serving concerns live here, all dependency-free:
 * **Backpressure** — the admission queue is bounded. When it is full
   the service *rejects* with :class:`ServiceOverloaded` (carrying a
   ``retry_after`` hint) instead of queueing unboundedly; the HTTP layer
-  maps this to ``503 Retry-After``.
+  maps this to ``503 Retry-After``. The hint is drawn uniformly from
+  ``[RETRY_AFTER_SECONDS, RETRY_AFTER_SECONDS * (1 + RETRY_JITTER)]``,
+  decorrelating synchronized clients that would otherwise retry in
+  lockstep.
 * **Checkpoint hot-reload** — :meth:`PredictionService.reload` loads a
   checkpoint via :func:`repro.core.persistence.load_stgnn` (schema
   version checked, see ``persistence.py``), validates it against the
@@ -83,6 +86,12 @@ from repro.utils import get_logger
 logger = get_logger("serve")
 
 
+#: Lower bound of the Retry-After hint on overload, in seconds.
+RETRY_AFTER_SECONDS = 0.05
+#: The hint adds up to this fraction of ``RETRY_AFTER_SECONDS``, at random.
+RETRY_JITTER = 0.5
+
+
 class ServiceError(RuntimeError):
     """Base class for serving failures."""
 
@@ -121,19 +130,10 @@ class ServiceConfig:
     ``"serve"``; services sharing one registry (a live model and a
     frozen reference in the same process) take distinct names so their
     traffic, faults and SLOs stay separate.
-
-    ``retry_jitter`` bounds the randomized fraction added to the
-    ``Retry-After`` hint on overload: the advertised delay is drawn
-    uniformly from ``[retry_after_seconds,
-    retry_after_seconds * (1 + retry_jitter)]``, decorrelating
-    synchronized clients that would otherwise retry in lockstep.
-    ``0`` restores the fixed hint.
     """
 
     max_batch: int = 64
     queue_depth: int = 256
-    retry_after_seconds: float = 0.05
-    retry_jitter: float = 0.5
     request_timeout_seconds: float = 30.0
     checkpoint_path: str | None = None
     reload_poll_seconds: float | None = None
@@ -152,10 +152,6 @@ class ServiceConfig:
             raise ValueError(
                 "request_timeout_seconds must be positive, "
                 f"got {self.request_timeout_seconds}"
-            )
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise ValueError(
-                f"retry_jitter must be in 0..1, got {self.retry_jitter}"
             )
         if not self.name:
             raise ValueError("name must be a non-empty metric/fault prefix")
@@ -369,11 +365,7 @@ class PredictionService:
 
     def _next_retry_after(self) -> float:
         """The jittered Retry-After hint for one overload rejection."""
-        base = self.config.retry_after_seconds
-        jitter = self.config.retry_jitter
-        if jitter <= 0.0:
-            return base
-        return base * (1.0 + jitter * self._retry_rng.random())
+        return RETRY_AFTER_SECONDS * (1.0 + RETRY_JITTER * self._retry_rng.random())
 
     def status(self) -> dict:
         """Operational summary: SLO health, tracing, quality windows.

@@ -39,8 +39,7 @@ Mechanics
 * **Late events** — events landing in a retained slot behind the
   frontier are applied in place (and bump :attr:`FlowStateStore.version`
   so forecast caches invalidate); events older than the retained
-  horizon follow ``late_policy``: counted and dropped by default, or a
-  hard error for pipelines that consider lateness a bug.
+  horizon are counted (``serve.ingest_dropped_late``) and dropped.
 
 Equivalence guarantee
 ---------------------
@@ -75,13 +74,11 @@ from repro.obs.registry import default_registry
 
 @dataclass(frozen=True, slots=True)
 class FlowStateConfig:
-    """Dimensions and policies of an incremental flow store.
+    """Dimensions and retention of an incremental flow store.
 
     ``num_stations``, ``slot_seconds``, ``short_window`` (``k``) and
-    ``long_days`` (``d``) mirror :class:`repro.data.dataset.FlowDataConfig`;
-    ``late_policy`` decides what happens to events older than the
-    retained horizon: ``"drop"`` counts and ignores them, ``"error"``
-    raises. ``retained_slots`` optionally deepens retention beyond the
+    ``long_days`` (``d``) mirror :class:`repro.data.dataset.FlowDataConfig`.
+    ``retained_slots`` optionally deepens retention beyond the
     sampling horizon so an online trainer can pull multi-day training
     windows out of the live store (:meth:`FlowStateStore.history_slots`)
     — it never shrinks below :attr:`horizon`.
@@ -91,7 +88,6 @@ class FlowStateConfig:
     slot_seconds: float = 900.0
     short_window: int = 96
     long_days: int = 7
-    late_policy: str = "drop"
     retained_slots: int | None = None
 
     def __post_init__(self) -> None:
@@ -107,10 +103,6 @@ class FlowStateConfig:
             raise ValueError(f"short_window must be >= 1, got {self.short_window}")
         if self.long_days < 1:
             raise ValueError(f"long_days must be >= 1, got {self.long_days}")
-        if self.late_policy not in ("drop", "error"):
-            raise ValueError(
-                f"late_policy must be 'drop' or 'error', got {self.late_policy!r}"
-            )
         if self.retained_slots is not None and self.retained_slots < 1:
             raise ValueError(
                 f"retained_slots must be >= 1 when set, got {self.retained_slots}"
@@ -135,7 +127,6 @@ class FlowStateConfig:
     def for_dataset(
         cls,
         dataset: BikeShareDataset,
-        late_policy: str = "drop",
         retained_slots: int | None = None,
     ) -> "FlowStateConfig":
         """A config matching a dataset's dimensions and windows."""
@@ -144,13 +135,8 @@ class FlowStateConfig:
             slot_seconds=dataset.config.slot_seconds,
             short_window=dataset.config.short_window,
             long_days=dataset.config.long_days,
-            late_policy=late_policy,
             retained_slots=retained_slots,
         )
-
-
-class LateEventError(ValueError):
-    """An event landed behind the retained horizon under ``late_policy='error'``."""
 
 
 _NO_INDEX, _NO_COUNT = canonical_entries([])
@@ -189,7 +175,8 @@ class _SlotEntries:
 
 class FlowStateStore:
     """Rolling inflow/outflow state, updated one trip event (or one
-    batch of them) at a time.
+    batch of them) at a time. An event that starts behind the retained
+    horizon is counted in ``serve.ingest_dropped_late`` and dropped.
 
     Thread-safe: ingest/advance/sample take an internal lock, so HTTP
     handler threads can feed the store while the prediction dispatcher
@@ -233,7 +220,6 @@ class FlowStateStore:
         cls,
         dataset: BikeShareDataset,
         frontier: int | None = None,
-        late_policy: str = "drop",
         retained_slots: int | None = None,
     ) -> "FlowStateStore":
         """Warm-start a store from a dataset's flow slots.
@@ -243,9 +229,7 @@ class FlowStateStore:
         slot already populated, so the first online prediction has full
         windows instead of a zero-padded warm-up.
         """
-        config = FlowStateConfig.for_dataset(
-            dataset, late_policy=late_policy, retained_slots=retained_slots
-        )
+        config = FlowStateConfig.for_dataset(dataset, retained_slots=retained_slots)
         frontier = dataset.num_slots if frontier is None else frontier
         if not 0 <= frontier <= dataset.num_slots:
             raise ValueError(
@@ -317,7 +301,7 @@ class FlowStateStore:
         """Fold one (origin, destination, start, end) event into the state.
 
         A one-event :meth:`ingest_events`. Returns ``True`` if the event
-        was applied, ``False`` if it was dropped by the late policy.
+        was applied, ``False`` if it was dropped as late.
         """
         return self.ingest_events(((origin, destination, start_time, end_time),)) == 1
 
@@ -330,16 +314,16 @@ class FlowStateStore:
         the store untouched. The events are then applied under one lock
         hold. The frontier auto-advances when an event starts in a
         future slot, so a store fed in event-time order needs no
-        external clock. Under ``late_policy="error"`` a
-        :class:`LateEventError` stops the batch at the late event: the
-        events before it stay applied and counted.
+        external clock. If a batch stops part-way (a rollover listener
+        or fault raising mid-advance), the events before the stop stay
+        applied and counted.
         """
         n = self.config.num_stations
         slot_seconds = self.config.slot_seconds
         # Chaos seams, per event, when a plan is armed: "state.clock"
         # lets it skew the timestamps in flight (modelling feed clock
         # drift); the skewed times then flow through the exact same
-        # validation and late policy as real ones. "state.ingest" can
+        # validation and late drop as real ones. "state.ingest" can
         # raise or hang per event.
         armed = active_plan() is not None
         slots = []
@@ -374,12 +358,6 @@ class FlowStateStore:
                     self.advance_to(start_slot)
                     frontier = start_slot
                 if start_slot <= frontier - capacity:
-                    if self.config.late_policy == "error":
-                        raise LateEventError(
-                            f"event starting in slot {start_slot} is behind "
-                            f"the retained horizon (oldest retained: "
-                            f"{frontier - self.config.retention})"
-                        )
                     dropped += 1
                     continue
                 outflow[start_slot % capacity].events.append(origin * n + destination)

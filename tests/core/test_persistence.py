@@ -16,7 +16,6 @@ from repro.core import (
     CheckpointError,
     CheckpointSchemaError,
     TrainingSnapshot,
-    checkpoint_schema_version,
     load_config,
     load_state,
     load_stgnn,
@@ -94,7 +93,8 @@ class TestSchemaVersion:
     def test_new_checkpoints_carry_current_version(self, tiny_dataset, tmp_path):
         path = tmp_path / "model.npz"
         save_checkpoint(STGNNDJD.from_dataset(tiny_dataset, seed=0), path)
-        assert checkpoint_schema_version(path) == SCHEMA_VERSION
+        with np.load(path) as bundle:
+            assert int(bundle["__schema_version__"]) == SCHEMA_VERSION
 
     def test_schema_key_not_leaked_into_state(self, tiny_dataset, tmp_path):
         path = tmp_path / "model.npz"
@@ -109,7 +109,8 @@ class TestSchemaVersion:
         model = STGNNDJD.from_dataset(tiny_dataset, seed=0)
         save_checkpoint(model, path)
         self._legacy_checkpoint(model, path)
-        assert checkpoint_schema_version(path) is None
+        with np.load(path) as bundle:
+            assert "__schema_version__" not in bundle.files
         restored = load_stgnn(path)
         np.testing.assert_allclose(
             restored.predictor.weight.data, model.predictor.weight.data

@@ -29,7 +29,7 @@ from repro.serve import (
     ServiceConfig,
     ServiceOverloaded,
 )
-from repro.serve.service import _Request
+from repro.serve.service import RETRY_AFTER_SECONDS, RETRY_JITTER, _Request
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +221,6 @@ class TestOverload:
         service = sync_service(
             served_model, tiny_dataset,
             max_batch=1, queue_depth=2,
-            retry_after_seconds=0.123,
         )
         picked = threading.Event()
         release = threading.Event()
@@ -240,7 +239,8 @@ class TestOverload:
                 with pytest.raises(ServiceOverloaded) as excinfo:
                     service.predict()
                 # Jittered within the bounded band, never below base.
-                assert 0.123 <= excinfo.value.retry_after <= 0.123 * 1.5
+                assert RETRY_AFTER_SECONDS <= excinfo.value.retry_after <= (
+                    RETRY_AFTER_SECONDS * (1.0 + RETRY_JITTER))
                 release.set()
                 # Backpressure, not loss: the queued requests all finish.
                 for request in [first, *backlog]:

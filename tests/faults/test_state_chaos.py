@@ -22,16 +22,15 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.data.records import TripRecord
 from repro.faults import FaultPlan, InjectedFault, injected
 from repro.obs import default_registry, metrics_scope
-from repro.serve import FlowStateConfig, FlowStateStore, LateEventError
+from repro.serve import FlowStateConfig, FlowStateStore
 from tests.flow_oracle import build_flow_tensors, retained_tensors
 
 SLOT = 1800.0
 
 
-def make_store(late_policy="drop", frontier=0) -> FlowStateStore:
+def make_store(frontier=0) -> FlowStateStore:
     config = FlowStateConfig(
         num_stations=3, slot_seconds=SLOT, short_window=4, long_days=1,
-        late_policy=late_policy,
     )
     return FlowStateStore(config, frontier=frontier)
 
@@ -56,7 +55,7 @@ def assert_batch_parity(store: FlowStateStore, applied: list[TripRecord]):
 
 class TestLatenessBound:
     def test_drop_policy_counts_and_preserves_parity(self):
-        store = make_store("drop")
+        store = make_store()
         applied = [trip(0, 2), trip(1, 5)]
         for t in applied:
             assert store.ingest(t)
@@ -72,15 +71,14 @@ class TestLatenessBound:
         applied.append(late_ok)
         assert_batch_parity(store, applied)
 
-    def test_error_policy_raises_and_leaves_state_untouched(self):
-        store = make_store("error")
+    def test_dropped_event_leaves_state_untouched(self):
+        store = make_store()
         applied = [trip(0, 2)]
         store.ingest(applied[0])
         store.advance_to(60)
         before_version = store.version
         snapshot = retained_tensors(store)
-        with pytest.raises(LateEventError):
-            store.ingest(trip(1, 11))
+        assert store.ingest(trip(1, 11)) is False
         assert store.version == before_version
         after = retained_tensors(store)
         assert np.array_equal(after[1], snapshot[1])
@@ -93,7 +91,7 @@ class TestClockSkew:
         # The feed's clock drifts one event 55 slots into the past —
         # beyond the lateness bound. The skewed timestamps must hit the
         # same drop policy an honestly-late event would.
-        store = make_store("drop")
+        store = make_store()
         store.advance_to(60)
         skew = 55 * SLOT
         plan = FaultPlan(seed=0).on(
@@ -110,7 +108,7 @@ class TestClockSkew:
         assert_batch_parity(store, [trip(1, 60), trip(2, 60)])
 
     def test_forward_skew_advances_the_frontier(self):
-        store = make_store("drop")
+        store = make_store()
         skew = 3 * SLOT
         plan = FaultPlan(seed=0).on(
             "state.clock", action="call", at=1,
@@ -123,7 +121,7 @@ class TestClockSkew:
 
     def test_same_seed_replays_the_same_faults(self):
         def drive():
-            store = make_store("drop")
+            store = make_store()
             plan = FaultPlan(seed=42).on(
                 "state.clock", action="call", probability=0.4, max_fires=None,
                 callback=lambda times: (times[0] + SLOT, times[1] + SLOT),
@@ -146,7 +144,7 @@ class TestIngestCrash:
     def test_failed_ingest_is_safe_to_redeliver(self):
         # The fault fires before any mutation, so an at-least-once feed
         # can replay the event without double counting.
-        store = make_store("drop")
+        store = make_store()
         survivor = trip(0, 2)
         store.ingest(survivor)
         victim = trip(1, 3)
@@ -163,7 +161,7 @@ class TestRolloverCrash:
     def test_failed_rollover_leaves_the_store_unmoved(self):
         # The seam fires before any ring row is zeroed or pending inflow
         # folded, so a retried advance lands exactly where it would have.
-        store = make_store("drop")
+        store = make_store()
         applied = [trip(i, i % 3, duration_slots=2.5) for i in range(6)]
         for record in applied:
             store.ingest(record)
@@ -190,7 +188,7 @@ class StoreChaosMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.store = make_store("drop")
+        self.store = make_store()
         self.applied: list[TripRecord] = []
         self.next_id = 0
 

@@ -28,12 +28,6 @@ class TestXavier:
         np.testing.assert_allclose(w2, 2.0 * w1)
 
 
-class TestHe:
-    def test_bound(self):
-        w = init.he_uniform((64, 32), np.random.default_rng(0))
-        assert np.abs(w).max() <= np.sqrt(6.0 / 64)
-
-
 class TestZeros:
     def test_zeros(self):
         np.testing.assert_allclose(init.zeros((3, 3)), np.zeros((3, 3)))

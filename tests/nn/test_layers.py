@@ -1,10 +1,10 @@
-"""Layers: Linear, Conv1x1 (vs manual math), Dropout, LayerNorm."""
+"""Layers: Linear, Conv1x1 (vs manual math), Dropout."""
 
 import numpy as np
 import pytest
 
 from repro.data.window import FlowWindow
-from repro.nn import Conv1x1, Dropout, LayerNorm, Linear
+from repro.nn import Conv1x1, Dropout, Linear
 from repro.tensor import Tensor
 
 
@@ -97,18 +97,3 @@ class TestDropout:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
-
-
-class TestLayerNorm:
-    def test_normalizes_last_axis(self, rng):
-        layer = LayerNorm(8)
-        x = Tensor(rng.normal(loc=5.0, scale=3.0, size=(10, 8)))
-        out = layer(x).data
-        np.testing.assert_allclose(out.mean(axis=-1), np.zeros(10), atol=1e-7)
-        np.testing.assert_allclose(out.std(axis=-1), np.ones(10), atol=1e-2)
-
-    def test_learnable_shift(self, rng):
-        layer = LayerNorm(4)
-        layer.beta.data[:] = 7.0
-        out = layer(Tensor(rng.normal(size=(3, 4)))).data
-        np.testing.assert_allclose(out.mean(axis=-1), np.full(3, 7.0), atol=1e-7)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import joint_demand_supply_loss, mae_loss, mse_loss
+from repro.nn import joint_demand_supply_loss, mse_loss
 from repro.tensor import Tensor
 
 
@@ -23,16 +23,6 @@ class TestMSE:
         pred = Tensor([2.0, 0.0], requires_grad=True)
         mse_loss(pred, Tensor([0.0, 0.0])).backward()
         np.testing.assert_allclose(pred.grad, [2.0, 0.0])
-
-
-class TestMAE:
-    def test_value(self):
-        assert mae_loss(Tensor([1.0, -1.0]), Tensor([0.0, 0.0])).item() == 1.0
-
-    def test_gradient_is_sign(self):
-        pred = Tensor([2.0, -3.0], requires_grad=True)
-        mae_loss(pred, Tensor([0.0, 0.0])).backward()
-        np.testing.assert_allclose(pred.grad, [0.5, -0.5])
 
 
 class TestJointLoss:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Linear, Module, ModuleList, Parameter, Sequential, ReLU
+from repro.nn import Linear, Module, ModuleList, Parameter
 from repro.tensor import Tensor
 
 
@@ -112,10 +112,3 @@ class TestContainers:
         layer = Linear(2, 2, rng=np.random.default_rng(0))
         layers.append(layer)
         assert layers[0] is layer
-
-    def test_sequential_chains(self):
-        rng = np.random.default_rng(0)
-        seq = Sequential(Linear(2, 4, rng=rng), ReLU(), Linear(4, 1, rng=rng))
-        out = seq(Tensor(np.ones((5, 2))))
-        assert out.shape == (5, 1)
-        assert len(seq) == 3

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (
-    GRUCell,
-    GRUEncoder,
-    LSTMCell,
-    LSTMEncoder,
-    RNNCell,
-    RNNEncoder,
-)
+from repro.nn import LSTMCell, LSTMEncoder, RNNCell, RNNEncoder
 from repro.tensor import Tensor, no_grad
 
 
@@ -37,30 +30,15 @@ class TestCells:
         np.testing.assert_allclose(cell.bias.data[8:16], np.ones(8))
         np.testing.assert_allclose(cell.bias.data[:8], np.zeros(8))
 
-    def test_gru_cell_shape(self, rng):
-        cell = GRUCell(4, 8, rng)
-        h = cell(Tensor(rng.normal(size=(3, 4))), Tensor(np.zeros((3, 8))))
-        assert h.shape == (3, 8)
-
-    def test_gru_zero_update_gate_keeps_state(self, rng):
-        cell = GRUCell(2, 3, rng)
-        # Force z ~ 0 by driving the update-gate logits very negative.
-        cell.weight_x.data[:, :3] = 0.0
-        cell.weight_h.data[:, :3] = 0.0
-        cell.bias.data[:3] = -50.0
-        h_prev = Tensor(rng.normal(size=(2, 3)))
-        h = cell(Tensor(rng.normal(size=(2, 2))), h_prev)
-        np.testing.assert_allclose(h.data, h_prev.data, atol=1e-8)
-
 
 class TestEncoders:
-    @pytest.mark.parametrize("encoder_cls", [RNNEncoder, LSTMEncoder, GRUEncoder])
+    @pytest.mark.parametrize("encoder_cls", [RNNEncoder, LSTMEncoder])
     def test_final_state_shape(self, encoder_cls, rng):
         encoder = encoder_cls(2, 6, rng)
         out = encoder(Tensor(rng.normal(size=(7, 4, 2))))
         assert out.shape == (4, 6)
 
-    @pytest.mark.parametrize("encoder_cls", [RNNEncoder, LSTMEncoder, GRUEncoder])
+    @pytest.mark.parametrize("encoder_cls", [RNNEncoder, LSTMEncoder])
     def test_gradients_reach_all_parameters(self, encoder_cls, rng):
         encoder = encoder_cls(2, 4, rng)
         encoder(Tensor(rng.normal(size=(5, 3, 2)))).sum().backward()
@@ -68,7 +46,7 @@ class TestEncoders:
             assert param.grad is not None
             assert np.abs(param.grad).sum() > 0
 
-    @pytest.mark.parametrize("encoder_cls", [RNNEncoder, LSTMEncoder, GRUEncoder])
+    @pytest.mark.parametrize("encoder_cls", [RNNEncoder, LSTMEncoder])
     def test_float32_encoder_stays_float32(self, encoder_cls, rng):
         """The initial states take the sequence's dtype, so a cast encoder
         runs single precision end to end."""

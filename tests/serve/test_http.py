@@ -377,8 +377,7 @@ class TestOverloadMapping:
             # max_batch=1: without it the dispatcher can coalesce all
             # six requests into one batch before the blocked forward
             # starts, leaving the queue empty and nothing to reject.
-            config=ServiceConfig(queue_depth=1, retry_after_seconds=0.2,
-                                 max_batch=1),
+            config=ServiceConfig(queue_depth=1, max_batch=1),
         )
         http_server = make_server(service, port=0)
         thread = threading.Thread(target=http_server.serve_forever, daemon=True)

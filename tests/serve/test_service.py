@@ -15,7 +15,7 @@ from repro.serve import (
     ServiceError,
     ServiceOverloaded,
 )
-from repro.serve.service import _Request
+from repro.serve.service import RETRY_AFTER_SECONDS, RETRY_JITTER, _Request
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +213,6 @@ class TestDispatcher:
             served_model, tiny_dataset,
             config=ServiceConfig(
                 max_batch=1, queue_depth=2,
-                retry_after_seconds=0.123,
             ),
         )
         release = threading.Event()
@@ -247,8 +246,9 @@ class TestDispatcher:
             with pytest.raises(ServiceOverloaded) as excinfo:
                 service.predict()
             # The hint is jittered (thundering-herd decorrelation):
-            # base <= hint <= base * (1 + retry_jitter).
-            assert 0.123 <= excinfo.value.retry_after <= 0.123 * 1.5
+            # base <= hint <= base * (1 + jitter).
+            assert (RETRY_AFTER_SECONDS <= excinfo.value.retry_after
+                    <= RETRY_AFTER_SECONDS * (1.0 + RETRY_JITTER))
             release.set()
             t1.join(timeout=10.0)
             for request in backlog:  # rejected != dropped: these finish
@@ -272,9 +272,9 @@ class TestDispatcher:
         hints_live = [live._next_retry_after() for _ in range(8)]
         hints_frozen = [frozen._next_retry_after() for _ in range(8)]
         assert hints_live != hints_frozen
-        base, jitter = live.config.retry_after_seconds, live.config.retry_jitter
         for hint in hints_live + hints_frozen:
-            assert base <= hint <= base * (1.0 + jitter)
+            assert (RETRY_AFTER_SECONDS <= hint
+                    <= RETRY_AFTER_SECONDS * (1.0 + RETRY_JITTER))
 
     def test_stop_fails_queued_requests(self, service):
         # Stopping is safe to call repeatedly and without starting.

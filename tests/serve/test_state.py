@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.records import TripRecord
-from repro.serve import FlowStateConfig, FlowStateStore, LateEventError
+from repro.serve import FlowStateConfig, FlowStateStore
 from tests.flow_oracle import retained_tensors
 from tests.windows import assert_sample_windows_equal
 
@@ -36,8 +36,6 @@ class TestConfig:
             _config(short_window=0)
         with pytest.raises(ValueError):
             _config(long_days=0)
-        with pytest.raises(ValueError):
-            _config(late_policy="buffer")
 
     def test_horizon_is_deepest_lookback(self):
         assert _config(short_window=6, long_days=1).horizon == 24
@@ -109,12 +107,6 @@ class TestIngest:
         assert not store.ingest(_trip(0, 1, start_slot=2, end_slot=3))
         _, inflow, outflow = retained_tensors(store)
         assert inflow.sum() == 0.0 and outflow.sum() == 0.0
-
-    def test_event_behind_horizon_errors_when_configured(self):
-        store = FlowStateStore(_config(late_policy="error"))
-        store.advance_to(100)
-        with pytest.raises(LateEventError):
-            store.ingest(_trip(0, 1, start_slot=2, end_slot=3))
 
     def test_negative_return_time_ignored_like_batch(self):
         # build_flow_slots drops inflow for end_slot < 0; so do we.

@@ -26,8 +26,9 @@ from repro.data import (
     build_flow_slots,
 )
 from repro.data.records import TripRecord
+from repro.faults import FaultPlan, InjectedFault, injected
 from repro.obs import metrics_scope
-from repro.serve import FlowStateConfig, FlowStateStore, LateEventError
+from repro.serve import FlowStateConfig, FlowStateStore
 from repro.tensor import inference_mode
 from tests.flow_oracle import build_flow_tensors, retained_tensors
 from tests.windows import assert_sample_windows_equal
@@ -268,20 +269,20 @@ def test_batched_ingest_equals_per_event_ingest(stream, data):
     assert_same_store(batched, per_event)
 
 
-def test_late_error_mid_batch_keeps_the_applied_prefix_and_exact_counters():
-    """Under ``late_policy="error"`` a late event stops its batch: the
-    events before it stay applied and counted, none after it run."""
+def test_fault_mid_batch_keeps_the_applied_prefix_and_exact_counters():
+    """A rollover fault stops its batch part-way: the events before it
+    stay applied and counted, none after it run."""
     config = FlowStateConfig(
         num_stations=3, slot_seconds=SLOT, short_window=4, long_days=1,
-        late_policy="error",
     )
     store, reference = FlowStateStore(config), FlowStateStore(config)
-    now = 60 * SLOT  # capacity is 49: slot 11 and older are behind it
-    head = [(0, 1, now + 1.0, now + 2.0), (2, 0, now + 5.0, now + 3 * SLOT)]
-    batch = [*head, (1, 2, 10.0, 20.0), (1, 0, now + 9.0, now + 10.0)]
+    head = [(0, 1, 1.0, 2.0), (2, 0, 5.0, 3 * SLOT)]
+    # The third event opens slot 5; its rollover raises before it lands.
+    batch = [*head, (1, 2, 5 * SLOT + 1.0, 5 * SLOT + 20.0), (1, 0, 9.0, 10.0)]
+    plan = FaultPlan(seed=0).on("state.rollover", action="raise", at=1)
 
     def feed():
-        with pytest.raises(LateEventError):
+        with injected(plan), pytest.raises(InjectedFault):
             store.ingest_events(batch)
 
     assert _ingest_counts(feed) == (2.0, 0.0)

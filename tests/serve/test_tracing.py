@@ -233,8 +233,7 @@ class TestOverloadTrace:
         model = STGNNDJD.from_dataset(tiny_dataset, seed=3)
         service = PredictionService.for_dataset(
             model, tiny_dataset,
-            config=ServiceConfig(queue_depth=1, retry_after_seconds=0.2,
-                                 max_batch=1),
+            config=ServiceConfig(queue_depth=1, max_batch=1),
         )
         http_server = make_server(service, port=0)
         thread = threading.Thread(target=http_server.serve_forever, daemon=True)

@@ -1,34 +1,8 @@
-"""Utilities: seeding, logging."""
+"""Utilities: logging."""
 
 import logging
 
-import numpy as np
-import pytest
-
-from repro.utils import get_logger, seeded_rng, set_global_level, spawn_rngs
-
-
-class TestSeeding:
-    def test_same_seed_same_stream(self):
-        a = seeded_rng(5).random(10)
-        b = seeded_rng(5).random(10)
-        np.testing.assert_allclose(a, b)
-
-    def test_spawned_rngs_independent(self):
-        children = spawn_rngs(seeded_rng(1), 3)
-        draws = [c.random(5) for c in children]
-        assert not np.allclose(draws[0], draws[1])
-        assert not np.allclose(draws[1], draws[2])
-
-    def test_spawn_deterministic(self):
-        a = [c.random(3) for c in spawn_rngs(seeded_rng(2), 2)]
-        b = [c.random(3) for c in spawn_rngs(seeded_rng(2), 2)]
-        np.testing.assert_allclose(a[0], b[0])
-        np.testing.assert_allclose(a[1], b[1])
-
-    def test_spawn_rejects_zero(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(seeded_rng(0), 0)
+from repro.utils import get_logger, set_global_level
 
 
 class TestLogger:
